@@ -10,16 +10,15 @@ rate between them.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .coding import CodingState, propagate_coefficients
 from .gains import GainAssignment
-from .network import LayeredNetwork, NodeId, RegimeSpec
-from .power import received_power, regime_delta
+from .network import LayeredNetwork, RegimeSpec
+from .power import received_power, received_powers, regime_delta
 from .schemes import SchemeParams
 
 
@@ -51,12 +50,9 @@ def ideal_snr(net: LayeredNetwork, gains: GainAssignment, noisy_layer: int) -> f
     if not 1 <= noisy_layer <= net.num_layers - 1:
         raise ValueError(f"noisy layer must lie in 1..{net.num_layers - 1}, got {noisy_layer}")
     state = propagate_coefficients(net, gains)
-    d = net.destination
-    f = state.f_source(d)
-    denom = 0.0
-    for i in range(net.layer_sizes[noisy_layer]):
-        fn = state.f_noise(NodeId(noisy_layer, i), d)
-        denom += fn * fn
+    f = state.f_source(net.destination)
+    noise = state.betas[noisy_layer] * state.rows[noisy_layer]
+    denom = float(noise @ noise)
     if denom == 0.0:
         raise ValueError(f"no noise from layer {noisy_layer} reaches the destination")
     return f * f * net.source_power / denom
@@ -65,8 +61,7 @@ def ideal_snr(net: LayeredNetwork, gains: GainAssignment, noisy_layer: int) -> f
 def exceptional_power_sum(net: LayeredNetwork, spec: RegimeSpec) -> float:
     """Sum of received powers over the exceptional layer."""
     spec.validate(net)
-    l = spec.exceptional_layer
-    return sum(received_power(net, NodeId(l, i)) for i in range(net.layer_sizes[l]))
+    return float(np.sum(received_powers(net, spec.exceptional_layer)))
 
 
 def rate_upper_bound(net: LayeredNetwork, spec: RegimeSpec) -> float:
@@ -178,37 +173,14 @@ class BoundsReport:
     rank_one_cutset: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "snr": self.snr,
-            "achieved_rate": self.achieved_rate,
-            "upper_bound": self.upper_bound,
-            "lower_bound": self.lower_bound,
-            "mac_cutset": self.mac_cutset,
-            "high_snr_lower_bound": self.high_snr_lower_bound,
-            "c1": self.c1,
-            "c2": self.c2,
-            "c3": self.c3,
-            "rank_one_cutset": self.rank_one_cutset,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    CSV_HEADER = (
-        "scheme,snr,achieved_rate,upper_bound,lower_bound,mac_cutset,"
-        "high_snr_lower_bound,c1,c2,c3,rank_one_cutset"
-    )
+        return asdict(self)
 
     def to_csv(self) -> str:
-        rank = "" if self.rank_one_cutset is None else f"{self.rank_one_cutset:.12g}"
-        row = (
-            f"{self.scheme},{self.snr:.12g},{self.achieved_rate:.12g},"
-            f"{self.upper_bound:.12g},{self.lower_bound:.12g},{self.mac_cutset:.12g},"
-            f"{self.high_snr_lower_bound:.12g},{self.c1:.12g},{self.c2:.12g},"
-            f"{self.c3:.12g},{rank}"
-        )
-        return self.CSV_HEADER + "\n" + row + "\n"
+        """Header plus one row; floats to 12 significant digits, None empty."""
+        names = [f.name for f in fields(self)]
+        values = [getattr(self, name) for name in names]
+        row = ["" if v is None else v if isinstance(v, str) else f"{v:.12g}" for v in values]
+        return ",".join(names) + "\n" + ",".join(row) + "\n"
 
 
 def bounds_report(

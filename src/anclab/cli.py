@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -17,7 +18,14 @@ import numpy as np
 from .bounds import anc_rate, bounds_report, destination_snr, rate_lower_bound, rate_upper_bound
 from .gains import GainAssignment, gains_to_dict, load_gains
 from .montecarlo import SimConfig, agreement_check, analytic_moments, simulate
-from .network import LayeredNetwork, NetworkValidationError, RegimeSpec, load_network
+from .network import (
+    LayeredNetwork,
+    NetworkValidationError,
+    RegimeSpec,
+    load_network,
+    network_from_dict,
+    network_to_dict,
+)
 from .optimize import OptimizerConfig, optimize_gains
 from .power import check_feasible
 from .presets import replicate_last_relay_layer, rescale_to_delta
@@ -36,8 +44,11 @@ def _write(text: str, out: str) -> None:
     if out == "stdout" or out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {out}: {exc}") from exc
 
 
 def _load_net(path: str) -> LayeredNetwork:
@@ -52,10 +63,7 @@ def _scheme_gains(net: LayeredNetwork, scheme: str, layer: int | None):
     if layer is None:
         raise CliError("--layer is required for scheme-based commands")
     spec = RegimeSpec(exceptional_layer=layer)
-    try:
-        matched, params = matched_gains(net, spec)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    matched, params = matched_gains(net, spec)
     if params is None:
         raise CliError("--layer must name a relay layer (1..L-1)")
     if scheme == "generalized":
@@ -70,6 +78,9 @@ def _grid(text: str) -> list[float]:
         values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError as exc:
         raise CliError(f"bad grid {text!r}: {exc}") from exc
+    for v in values:
+        if not math.isfinite(v):
+            raise CliError(f"grid entry {v} is not finite")
     if not values:
         raise CliError("grid is empty")
     diffs = np.diff(values)
@@ -96,37 +107,22 @@ def _csv(rows: list[list], header: list[str]) -> str:
 
 def cmd_bounds(args) -> int:
     net = _load_net(args.network)
-    gains, params, spec = _scheme_gains(net, args.scheme, args.layer)
-    try:
-        report = bounds_report(net, spec, gains, params, scheme=args.scheme)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    _write(report.to_json() + "\n" if args.format == "json" else report.to_csv(), args.out)
-    return EXIT_OK
-
-
-def cmd_bounds_dispatch(args) -> int:
-    if args.scheme != "optimizer":
-        return cmd_bounds(args)
-    net = _load_net(args.network)
-    matched, params, spec = _scheme_gains(net, "generalized", args.layer)
-    best, snr = optimize_gains(
-        net, OptimizerConfig(restarts=args.restarts, seed=args.seed)
-    )
-    try:
-        report = bounds_report(net, spec, best, params, scheme="optimizer")
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    if args.scheme == "optimizer":
+        gains, params, spec = _scheme_gains(net, "generalized", args.layer)
+        gains, snr = optimize_gains(net, OptimizerConfig(restarts=args.restarts, seed=args.seed))
+    else:
+        gains, params, spec = _scheme_gains(net, args.scheme, args.layer)
+    report = bounds_report(net, spec, gains, params, scheme=args.scheme)
     if args.format == "json":
         payload = report.to_dict()
-        payload["optimizer_rate"] = anc_rate(snr)
+        if args.scheme == "optimizer":
+            payload["optimizer_rate"] = anc_rate(snr)
         _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    elif args.scheme == "optimizer":
+        header, row = report.to_csv().splitlines()
+        _write(f"{header},optimizer_rate\n{row},{anc_rate(snr):.12g}\n", args.out)
     else:
-        body = report.to_csv().splitlines()
-        text = (
-            body[0] + ",optimizer_rate\n" + body[1] + f",{anc_rate(snr):.12g}\n"
-        )
-        _write(text, args.out)
+        _write(report.to_csv(), args.out)
     return EXIT_OK
 
 
@@ -174,93 +170,60 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep_ps(args) -> int:
+def _sweep(args, header: str, row) -> int:
+    """One CSV row per grid value, row(base network, value) -> list."""
     base = _load_net(args.network)
+    rows = [row(base, value) for value in _grid(args.grid)]
+    _write(_csv(rows, header.split(",")), args.out)
+    return EXIT_OK
+
+
+def cmd_sweep_ps(args) -> int:
     spec = RegimeSpec(exceptional_layer=args.layer)
-    rows = []
-    for p_s in _grid(args.grid):
+
+    def row(base, p_s):
         if p_s <= 0:
             raise CliError("source powers must be positive")
-        net = LayeredNetwork(
-            layer_sizes=base.layer_sizes,
-            gain_matrices=base.gain_matrices,
-            relay_budgets=base.relay_budgets,
-            source_power=float(p_s),
-        )
-        try:
-            matched, params = matched_gains(net, spec)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        net = network_from_dict({**network_to_dict(base), "source_power": p_s})
+        matched, params = matched_gains(net, spec)
         rate_matched = anc_rate(destination_snr(net, matched))
         rate_full = anc_rate(destination_snr(net, full_power_gains(net)))
         upper = rate_upper_bound(net, spec)
         lower = rate_lower_bound(net, spec, params)
-        rows.append(
-            [
-                p_s,
-                rate_matched,
-                rate_full,
-                upper,
-                lower,
-                upper - rate_matched,
-                upper - rate_full,
-            ]
-        )
-    _write(
-        _csv(
-            rows,
-            [
-                "source_power",
-                "rate_matched",
-                "rate_full_power",
-                "upper_bound",
-                "lower_bound",
-                "gap_matched",
-                "gap_full_power",
-            ],
-        ),
-        args.out,
-    )
-    return EXIT_OK
+        return [p_s, rate_matched, rate_full, upper, lower, upper - rate_matched, upper - rate_full]
+
+    header = "source_power,rate_matched,rate_full_power,upper_bound,lower_bound,gap_matched"
+    return _sweep(args, header + ",gap_full_power", row)
 
 
 def cmd_sweep_n(args) -> int:
-    base = _load_net(args.network)
-    rows = []
-    for n_float in _grid(args.grid):
+    def row(base, n_float):
         n = int(n_float)
         if n != n_float or n < 1:
             raise CliError(f"relay counts must be positive integers, got {n_float}")
         net = replicate_last_relay_layer(base, n, args.relay_budget)
         spec = RegimeSpec(exceptional_layer=net.num_layers - 1)
-        try:
-            matched, params = matched_gains(net, spec)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        matched, _ = matched_gains(net, spec)
         rate = anc_rate(destination_snr(net, matched))
         upper = rate_upper_bound(net, spec)
-        rows.append([n, rate, upper, upper - rate])
-    _write(_csv(rows, ["n", "rate", "upper_bound", "gap"]), args.out)
-    return EXIT_OK
+        return [n, rate, upper, upper - rate]
+
+    return _sweep(args, "n,rate,upper_bound,gap", row)
 
 
 def cmd_sweep_delta(args) -> int:
-    base = _load_net(args.network)
     spec = RegimeSpec(exceptional_layer=args.layer)
-    rows = []
-    for delta in _grid(args.grid):
+
+    def row(base, delta):
         if delta <= 0:
             raise CliError("margins must be positive")
-        try:
-            net = rescale_to_delta(base, args.layer, delta)
-            matched, params = matched_gains(net, spec)
-            upper = rate_upper_bound(net, spec)
-            lower = rate_lower_bound(net, spec, params)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-        rows.append([delta, upper, lower, upper - lower])
-    _write(_csv(rows, ["delta", "upper_bound", "lower_bound", "gap"]), args.out)
-    return EXIT_OK
+        net = rescale_to_delta(base, args.layer, delta)
+        _, params = matched_gains(net, spec)
+        upper = rate_upper_bound(net, spec)
+        lower = rate_lower_bound(net, spec, params)
+        return [delta, upper, lower, upper - lower]
+
+    return _sweep(args, "delta,upper_bound,lower_bound,gap", row)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=6)
     _add_common(p)
-    p.set_defaults(func=cmd_bounds_dispatch)
+    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("simulate", help="sample-level simulation with agreement check")
     p.add_argument("--network", required=True)

@@ -1,4 +1,4 @@
-"""Signal and noise propagation coefficients.
+"""Signal and noise propagation coefficients, one array per layer.
 
 Each node retransmits a scaled copy of its noisy reception, so the signal
 arriving anywhere is a linear combination of the source symbol and every
@@ -6,8 +6,13 @@ noise injected upstream.  The coefficient from an origin o to a node k is
 the sum over all relay paths of the per-hop products beta * h, with the
 origin's own amplification included (the source has beta fixed at 1).
 
-propagate_coefficients computes all coefficients by a forward layer sweep;
-path_coefficient recomputes a single one by brute-force path enumeration
+In matrix form one hop is A_l = H_l diag(beta_l).  propagate_coefficients
+runs one forward sweep that carries the source vector s_{l+1} = A_l s_l
+and the transfer matrix from every upstream relay noise to layer l+1,
+whose squared row sums give the propagated noise power, plus one backward
+sweep for the destination rows r_l (the coefficient from a layer-l
+transmission to the destination).  path_coefficient recomputes a single
+coefficient by brute-force path enumeration, does not use these arrays,
 and exists as an independent cross-check.
 """
 
@@ -30,39 +35,65 @@ MAX_ENUMERATED_PATHS = 10**6
 
 @dataclass(frozen=True)
 class CodingState:
-    """All propagation coefficients of a network under one gain assignment.
+    """Propagation quantities of a network under one gain assignment.
 
-    source_coeff[k] is the coefficient multiplying the source symbol at k.
-    noise_coeff[(i, k)] is the coefficient multiplying relay i's local noise
-    at k; it is 1 at k == i and 0 when k is not strictly downstream of i.
-    The unit coefficient of each node's own fresh noise is implicit.
+    Every field is a tuple indexed by layer:
+      betas[l]   amplification of layers 0..L-1 (the source's is 1);
+      source[l]  coefficient of the source symbol at layer l, l = 0..L;
+      noise[l]   propagated-plus-local noise power at layer l, unit noise
+                 variances (0 at the source, which receives nothing);
+      rows[l]    coefficient from a layer-l transmission to the destination,
+                 the node's own gain excluded, l = 0..L-1.
     """
 
     net: LayeredNetwork
-    source_coeff: dict[NodeId, float]
-    noise_coeff: dict[tuple[NodeId, NodeId], float]
+    betas: tuple[np.ndarray, ...]
+    source: tuple[np.ndarray, ...]
+    noise: tuple[np.ndarray, ...]
+    rows: tuple[np.ndarray, ...]
 
     def f_source(self, k: NodeId) -> float:
-        return self.source_coeff[k]
+        return float(self.source[k.layer][k.index])
 
     def f_noise(self, origin: NodeId, k: NodeId) -> float:
+        """Coefficient of relay origin's local noise at k: 1 at k == origin,
+        0 unless k is strictly downstream of a relay origin."""
         if origin == k:
             return 1.0
-        return self.noise_coeff.get((origin, k), 0.0)
+        if not 0 < origin.layer < k.layer:
+            return 0.0
+        if k.layer == self.net.num_layers:
+            o, i = origin.layer, origin.index
+            return float(self.betas[o][i] * self.rows[o][i])
+        current = np.zeros(self.net.layer_sizes[origin.layer])
+        current[origin.index] = 1.0
+        for layer in range(origin.layer, k.layer):
+            current = self.net.gain_matrices[layer] @ (current * self.betas[layer])
+        return float(current[k.index])
 
     def noise_second_moment(self, k: NodeId) -> float:
         """Total propagated-plus-local noise power at k (unit variances)."""
         if k.layer == 0:
             raise ValueError("the source receives nothing")
-        acc = sum(
-            v * v for (i, kk), v in self.noise_coeff.items() if kk == k and i != k
-        )
-        return acc + 1.0
+        return float(self.noise[k.layer][k.index])
+
+    def received_second_moments(self, layer: int) -> np.ndarray:
+        """Second moment of every reception of a layer: signal plus noise power."""
+        s = self.source[layer]
+        return s * s * self.net.source_power + self.noise[layer]
 
     def received_second_moment(self, k: NodeId) -> float:
         """Second moment of the reception at k: signal power plus noise power."""
-        f = self.source_coeff[k]
-        return f * f * self.net.source_power + self.noise_second_moment(k)
+        if k.layer == 0:
+            raise ValueError("the source receives nothing")
+        return float(self.received_second_moments(k.layer)[k.index])
+
+    def transmit_powers(self, layer: int) -> np.ndarray:
+        """True second moment beta^2 E[reception^2] of every relay of a layer."""
+        if not 1 <= layer <= self.net.num_layers - 1:
+            raise ValueError(f"layer {layer} holds no relays")
+        beta = self.betas[layer]
+        return beta * beta * self.received_second_moments(layer)
 
 
 def local_coefficient(
@@ -91,38 +122,43 @@ def local_coefficient(
     return gains.get(net, k) * net.gain(k, m)
 
 
-def _propagate_from(
-    net: LayeredNetwork, beta_layers: list[np.ndarray], origin: NodeId
-) -> dict[NodeId, float]:
-    """Forward sweep of coefficients from one origin to all downstream nodes."""
-    coeffs: dict[NodeId, float] = {origin: 1.0}
-    current = np.zeros(net.layer_sizes[origin.layer])
-    current[origin.index] = 1.0
-    for layer in range(origin.layer, net.num_layers):
-        scaled = current * beta_layers[layer]
-        current = net.gain_matrices[layer] @ scaled
-        for index, value in enumerate(current):
-            coeffs[NodeId(layer + 1, index)] = float(value)
-    return coeffs
+def destination_rows(net: LayeredNetwork, betas) -> list[np.ndarray]:
+    """Backward sweep r_{L-1} = H_{L-1}, r_l = (r_{l+1} * beta_{l+1}) H_l.
+
+    betas[l] is read for layers 1..L-1 only; r_l excludes layer l's own gain,
+    so betas[l] * r_l is the destination coefficient of a layer-l noise.
+    """
+    rows = [net.gain_matrices[-1]]  # shape (1, n_{L-1})
+    for layer in range(net.num_layers - 1, 0, -1):
+        rows.append((rows[-1] * betas[layer]) @ net.gain_matrices[layer - 1])
+    return [row[0] for row in reversed(rows)]
 
 
 def propagate_coefficients(net: LayeredNetwork, gains: GainAssignment) -> CodingState:
-    """Compute every source and noise coefficient by layered dynamic programming.
+    """Source vectors, noise powers and destination rows of every layer.
 
-    One forward sweep per origin (the source plus each relay); the origin's
-    own amplification rides along with the first hop.
+    The forward sweep keeps the transfer matrix from every relay noise
+    injected so far (columns in layer-major order) to the current layer;
+    the origin's own amplification rides along with its first hop.
     """
-    beta_layers = [np.ones(net.layer_sizes[0])]
-    for layer in range(1, net.num_layers):
-        beta_layers.append(gains.layer_array(net, layer))
-    beta_layers.append(np.zeros(1))  # destination never transmits
-
-    source_coeff = _propagate_from(net, beta_layers, net.source)
-    noise_coeff: dict[tuple[NodeId, NodeId], float] = {}
-    for origin in net.relays():
-        for k, value in _propagate_from(net, beta_layers, origin).items():
-            noise_coeff[(origin, k)] = value
-    return CodingState(net=net, source_coeff=source_coeff, noise_coeff=noise_coeff)
+    betas = [np.ones(1)] + [gains.layer_array(net, layer) for layer in range(1, net.num_layers)]
+    source = [np.ones(1)]
+    noise = [np.zeros(1)]
+    transfer = np.zeros((1, 0))  # the source injects no noise
+    for layer, h in enumerate(net.gain_matrices):
+        beta = betas[layer]
+        source.append(h @ (source[-1] * beta))
+        transfer = h @ (beta[:, np.newaxis] * transfer)
+        if layer > 0:  # this layer's own noises join, scaled by their gains
+            transfer = np.concatenate([transfer, h * beta], axis=1)
+        noise.append((transfer * transfer).sum(axis=1) + 1.0)
+    return CodingState(
+        net=net,
+        betas=tuple(betas),
+        source=tuple(source),
+        noise=tuple(noise),
+        rows=tuple(destination_rows(net, betas)),
+    )
 
 
 def count_paths(net: LayeredNetwork, origin: NodeId, target: NodeId) -> int:

@@ -63,9 +63,6 @@ class GainAssignment:
             raise ValueError("destination has no amplification gain")
         return float(self.layer_array(net, k.layer)[k.index])
 
-    def as_dict(self, net: LayeredNetwork) -> dict[NodeId, float]:
-        return {k: self.get(net, k) for k in net.relays()}
-
     def scaled_layer(self, layer: int, factor: float) -> "GainAssignment":
         """Copy with every gain of one relay layer multiplied by factor."""
         arrays = [arr.copy() for arr in self.layers]

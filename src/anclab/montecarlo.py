@@ -23,7 +23,6 @@ from .bounds import destination_snr
 from .coding import propagate_coefficients
 from .gains import GainAssignment
 from .network import LayeredNetwork, NodeId
-from .power import exact_transmit_power
 
 _BLOCK = 1 << 15
 
@@ -198,14 +197,14 @@ def simulate(net: LayeredNetwork, gains: GainAssignment, config: SimConfig) -> S
 def analytic_moments(net: LayeredNetwork, gains: GainAssignment) -> dict:
     """Exact counterparts of the simulated quantities."""
     state = propagate_coefficients(net, gains)
-    d = net.destination
     power = {net.source: net.source_power}
-    for k in net.relays():
-        power[k] = exact_transmit_power(net, gains, k, state=state)
+    for layer in range(1, net.num_layers):
+        for i, p in enumerate(state.transmit_powers(layer)):
+            power[NodeId(layer, i)] = float(p)
     return {
         "transmit_power": power,
-        "source_coeff": state.f_source(d),
-        "noise_power": state.noise_second_moment(d),
+        "source_coeff": float(state.source[-1][0]),
+        "noise_power": float(state.noise[-1][0]),
         "snr": destination_snr(net, gains, state=state),
     }
 

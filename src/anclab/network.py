@@ -101,11 +101,18 @@ def build_network(
     power_budgets lists relay budgets in layer-major order (layers 1..L-1);
     the source transmits at source_power and the destination never transmits.
 
-    Raises NetworkValidationError on shape mismatch, nonpositive power,
-    non-finite gains, or unreachable nodes (a non-source node with all-zero
-    incoming gains, or a non-destination node with all-zero outgoing gains).
+    Raises NetworkValidationError on non-integer layer sizes, shape mismatch,
+    nonpositive power, non-finite gains, or unreachable nodes (a non-source
+    node with all-zero incoming gains, or a non-destination node with all-zero
+    outgoing gains).
     """
-    sizes = tuple(int(s) for s in layer_sizes)
+    not_integers = f"layer sizes must be integers, got {layer_sizes}"
+    try:
+        sizes = tuple(int(s) for s in layer_sizes)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise NetworkValidationError(not_integers) from exc
+    if any(size != s for size, s in zip(sizes, layer_sizes)):
+        raise NetworkValidationError(not_integers)
     if len(sizes) < 2:
         raise NetworkValidationError("need at least a source layer and a destination layer")
     if any(s < 1 for s in sizes):

@@ -16,8 +16,8 @@ import numpy as np
 from .bounds import destination_snr
 from .coding import propagate_coefficients
 from .gains import GainAssignment
-from .network import LayeredNetwork, NodeId, RegimeSpec
-from .power import max_safe_gain
+from .network import LayeredNetwork, RegimeSpec
+from .power import safe_gains
 from .schemes import full_power_gains, matched_gains
 
 
@@ -36,12 +36,7 @@ class OptimizerConfig:
 
 
 def _gain_boxes(net: LayeredNetwork) -> list[np.ndarray]:
-    return [
-        np.array(
-            [max_safe_gain(net, NodeId(layer, i)) for i in range(net.layer_sizes[layer])]
-        )
-        for layer in range(1, net.num_layers)
-    ]
+    return [safe_gains(net, layer) for layer in range(1, net.num_layers)]
 
 
 def _coefficients_at(net, beta_layers, k, value):
@@ -50,10 +45,8 @@ def _coefficients_at(net, beta_layers, k, value):
     arrays[k.layer - 1][k.index] = value
     gains = GainAssignment.from_layers(arrays)
     state = propagate_coefficients(net, gains)
-    d = net.destination
-    f_sig = state.f_source(d)
-    noises = [state.f_noise(i, d) for i in net.relays()]
-    return f_sig, np.array(noises)
+    noises = [state.betas[l] * state.rows[l] for l in range(1, net.num_layers)]
+    return float(state.source[-1][0]), np.concatenate(noises)
 
 
 def _best_coordinate(net, beta_layers, k, box):

@@ -1,16 +1,20 @@
 """Received powers, regime margin, and transmit-power feasibility.
 
-received_power(k) is the signal power node k would see with every
-in-neighbor transmitting a full-budget symbol coherently; it depends only
-on the network, never on the chosen gains.  Gains are signed and enter the
-sum before squaring, so mixed signs can drive the value toward zero, which
-is a hard error wherever its reciprocal is needed.
+Everything here is computed one layer at a time on arrays.
+received_powers(layer) is the signal power each node of a layer would see
+with every in-neighbor transmitting a full-budget symbol coherently; it
+depends only on the network, never on the chosen gains.  Gains are signed
+and enter the sum before squaring, so mixed signs can drive the value
+toward zero.  A sum no larger than 1e-12 times the summed magnitudes of
+its terms is cancellation residue and counts as exactly zero, which is a
+hard error wherever its reciprocal is needed.
 
-max_safe_gain(k) is the largest amplification magnitude for which the
-received-power sufficient condition guarantees the transmit budget.  The
-condition is one-directional: exact_transmit_power computes the true second
-moment so the two can be compared, and check_feasible reports both verdicts
-side by side.
+safe_gains(layer) is the box: the largest amplification magnitude for which
+the received-power sufficient condition guarantees each relay's transmit
+budget.  The per-node functions read single entries of these two arrays.
+The condition is one-directional: exact_transmit_power computes the true
+second moment from the coding state so the two can be compared, and
+check_feasible reports both verdicts side by side.
 """
 
 from __future__ import annotations
@@ -25,18 +29,52 @@ from .coding import CodingState, propagate_coefficients
 from .gains import GainAssignment
 from .network import LayeredNetwork, NodeId, RegimeSpec
 
+# A coherent sum this small next to the sum of its terms' magnitudes is
+# treated as exact cancellation.
+_CANCEL_RTOL = 1e-12
 
-def received_power(net: LayeredNetwork, k: NodeId) -> float:
-    """Full-budget coherent received power (sum_j h[j,k] sqrt(P_j))^2."""
-    if k.layer == 0:
-        raise ValueError("the source node receives nothing")
-    row = net.gain_matrices[k.layer - 1][k.index]
-    if k.layer == 1:
+
+def received_powers(net: LayeredNetwork, layer: int) -> np.ndarray:
+    """Full-budget coherent received power (sum_j h[j,k] sqrt(P_j))^2 of a layer."""
+    if not 1 <= layer <= net.num_layers:
+        raise ValueError(f"layer {layer} receives nothing; receiving layers are 1..{net.num_layers}")
+    h = net.gain_matrices[layer - 1]
+    if layer == 1:
         amplitudes = np.array([math.sqrt(net.source_power)])
     else:
-        amplitudes = np.sqrt(net.relay_budgets[k.layer - 2])
-    total = float(row @ amplitudes)
+        amplitudes = np.sqrt(net.relay_budgets[layer - 2])
+    total = np.vecdot(h, amplitudes)  # one dot per row, as a scalar per-node sum would
+    total[np.abs(total) <= _CANCEL_RTOL * (np.abs(h) @ amplitudes)] = 0.0
     return total * total
+
+
+def require_power(layer: int, powers: np.ndarray, consequence: str) -> None:
+    """Raise ValueError naming the first node of the layer with zero received power."""
+    if powers.all():
+        return
+    zero = np.flatnonzero(powers == 0.0)
+    raise ValueError(f"received power at {NodeId(layer, int(zero[0]))} is zero; {consequence}")
+
+
+def safe_gains(net: LayeredNetwork, layer: int, delta: float | None = None) -> np.ndarray:
+    """Largest |beta| of every relay of a layer under the sufficient power condition.
+
+    Equals sqrt(P_k / ((1 + delta_k) * P_R)) with P_R the received power and
+    delta_k = 1/P_R, or a uniform margin delta when one is given.
+    """
+    if not 1 <= layer <= net.num_layers - 1:
+        raise ValueError(f"layer {layer} holds no relays")
+    p_r = received_powers(net, layer)
+    require_power(layer, p_r, "no safe gain exists")
+    margin = 1.0 / p_r if delta is None else delta
+    return np.sqrt(net.relay_budgets[layer - 1] / ((1.0 + margin) * p_r))
+
+
+def received_power(net: LayeredNetwork, k: NodeId) -> float:
+    """Full-budget coherent received power of one node."""
+    if k.layer == 0:
+        raise ValueError("the source node receives nothing")
+    return float(received_powers(net, k.layer)[k.index])
 
 
 def node_delta(net: LayeredNetwork, k: NodeId) -> float:
@@ -52,27 +90,28 @@ def regime_delta(net: LayeredNetwork, spec: RegimeSpec) -> float:
     (and the source) has received power at least 1/delta."""
     spec.validate(net)
     worst = math.inf
-    for k in net.nodes():
-        if k.layer == 0 or k.layer == spec.exceptional_layer:
+    for layer in range(1, net.num_layers + 1):
+        if layer == spec.exceptional_layer:
             continue
-        p = received_power(net, k)
-        if p == 0.0:
-            raise ValueError(f"received power at {k} is zero; regime margin undefined")
-        worst = min(worst, p)
+        p = received_powers(net, layer)
+        require_power(layer, p, "regime margin undefined")
+        worst = min(worst, float(p.min()))
     if not math.isfinite(worst):
         raise ValueError("no nodes outside the exceptional layer")
     return 1.0 / worst
 
 
 def max_safe_gain(net: LayeredNetwork, k: NodeId) -> float:
-    """Largest |beta| at k under the sufficient power condition.
+    """Largest |beta| at relay k under the sufficient power condition.
 
-    Equals sqrt(P_k / ((1 + 1/P_R) * P_R)) with P_R the received power.
+    Raises ValueError when k, or any other relay of its layer, has zero
+    received power: the box is computed for the whole layer at once.
     """
-    p_r = received_power(net, k)
-    if p_r == 0.0:
+    if received_power(net, k) == 0.0:
         raise ValueError(f"received power at {k} is zero; no safe gain exists")
-    return math.sqrt(net.budget(k) / ((1.0 + 1.0 / p_r) * p_r))
+    if k.layer == net.num_layers:
+        raise ValueError("destination has no power budget")
+    return float(safe_gains(net, k.layer)[k.index])
 
 
 @dataclass(frozen=True)
@@ -86,12 +125,17 @@ class PowerProfile:
 
 
 def power_profile(net: LayeredNetwork, spec: RegimeSpec | None = None) -> PowerProfile:
-    received = {k: received_power(net, k) for k in net.nodes() if k.layer > 0}
-    deltas = {k: node_delta(net, k) for k in received}
-    max_sq = {
-        k: net.budget(k) / ((1.0 + deltas[k]) * received[k])
-        for k in net.relays()
-    }
+    received, deltas, max_sq = {}, {}, {}
+    for layer in range(1, net.num_layers + 1):
+        p = received_powers(net, layer)
+        require_power(layer, p, "its reciprocal is undefined")
+        box = safe_gains(net, layer) if layer < net.num_layers else None
+        for i in range(net.layer_sizes[layer]):
+            k = NodeId(layer, i)
+            received[k] = float(p[i])
+            deltas[k] = 1.0 / float(p[i])
+            if box is not None:
+                max_sq[k] = float(box[i]) ** 2
     delta = regime_delta(net, spec) if spec is not None else None
     return PowerProfile(
         received_power=received, delta_node=deltas, max_gain_sq=max_sq, regime_delta=delta
@@ -111,8 +155,7 @@ def exact_transmit_power(
         raise ValueError("destination never transmits")
     if state is None:
         state = propagate_coefficients(net, gains)
-    beta = gains.get(net, k)
-    return beta * beta * state.received_second_moment(k)
+    return float(state.transmit_powers(k.layer)[k.index])
 
 
 # Slack for float round-trips like beta = sqrt(x) followed by beta^2 <= x.
@@ -177,20 +220,23 @@ def check_feasible(net: LayeredNetwork, gains: GainAssignment) -> FeasibilityRep
     """Per-relay comparison of the sufficient condition and the exact budget."""
     state = propagate_coefficients(net, gains)
     entries = []
-    for k in net.relays():
-        beta = gains.get(net, k)
-        beta_max = max_safe_gain(net, k)
-        exact = exact_transmit_power(net, gains, k, state=state)
-        budget = net.budget(k)
-        entries.append(
-            NodeFeasibility(
-                node=k,
-                beta=beta,
-                beta_max=beta_max,
-                exact_power=exact,
-                budget=budget,
-                sufficient_ok=abs(beta) <= beta_max * (1.0 + _PASS_RTOL),
-                exact_ok=exact <= budget * (1.0 + _PASS_RTOL),
+    for layer in range(1, net.num_layers):
+        beta = gains.layer_array(net, layer)
+        beta_max = safe_gains(net, layer)
+        exact = state.transmit_powers(layer)
+        budget = net.relay_budgets[layer - 1]
+        sufficient_ok = np.abs(beta) <= beta_max * (1.0 + _PASS_RTOL)
+        exact_ok = exact <= budget * (1.0 + _PASS_RTOL)
+        for i in range(net.layer_sizes[layer]):
+            entries.append(
+                NodeFeasibility(
+                    node=NodeId(layer, i),
+                    beta=float(beta[i]),
+                    beta_max=float(beta_max[i]),
+                    exact_power=float(exact[i]),
+                    budget=float(budget[i]),
+                    sufficient_ok=bool(sufficient_ok[i]),
+                    exact_ok=bool(exact_ok[i]),
+                )
             )
-        )
     return FeasibilityReport(entries=tuple(entries))

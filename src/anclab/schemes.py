@@ -11,14 +11,14 @@ acts as a matched combiner subject to every node's power condition.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .coding import destination_rows
 from .gains import GainAssignment
 from .network import LayeredNetwork, NodeId, RegimeSpec
-from .power import max_safe_gain, node_delta, received_power, regime_delta
+from .power import received_powers, regime_delta, require_power, safe_gains
 
 
 @dataclass(frozen=True)
@@ -37,14 +37,9 @@ class SchemeParams:
 
 def full_power_gains(net: LayeredNetwork) -> GainAssignment:
     """Every relay at its per-node safe maximum gain."""
-    layers = []
-    for layer in range(1, net.num_layers):
-        layers.append(
-            np.array(
-                [max_safe_gain(net, NodeId(layer, i)) for i in range(net.layer_sizes[layer])]
-            )
-        )
-    return GainAssignment.from_layers(layers)
+    return GainAssignment.from_layers(
+        [safe_gains(net, layer) for layer in range(1, net.num_layers)]
+    )
 
 
 def downstream_gains(
@@ -52,16 +47,16 @@ def downstream_gains(
 ) -> dict[NodeId, float]:
     """Compound coefficient from each layer node's transmission to the destination.
 
-    Multiplies the hop matrices with the already-assigned gains of layers
-    layer+1..L-1; the nodes' own gains are excluded, so g_j * beta_j equals
-    the propagated noise coefficient from j to the destination.
+    The destination row r_layer of the coding state: hop matrices multiplied
+    with the already-assigned gains of layers layer+1..L-1.  The nodes' own
+    gains are excluded, so g_j * beta_j equals the propagated noise
+    coefficient from j to the destination.
     """
     if not 1 <= layer <= net.num_layers - 1:
         raise ValueError(f"layer must lie in 1..{net.num_layers - 1}, got {layer}")
-    row = net.gain_matrices[net.num_layers - 1].copy()  # shape (1, n_{L-1})
-    for m in range(net.num_layers - 1, layer, -1):
-        row = (row * gains.layer_array(net, m)) @ net.gain_matrices[m - 1]
-    return {NodeId(layer, i): float(row[0, i]) for i in range(net.layer_sizes[layer])}
+    betas = [None] + [gains.layer_array(net, m) for m in range(1, net.num_layers)]
+    row = destination_rows(net, betas)[layer]
+    return {NodeId(layer, i): float(g) for i, g in enumerate(row)}
 
 
 def matched_gains(
@@ -83,43 +78,28 @@ def matched_gains(
     l = spec.exceptional_layer
     delta = regime_delta(net, spec)
 
-    layers: list[np.ndarray] = []
-    for layer in range(1, net.num_layers):
-        if layer == l:
-            layers.append(np.zeros(net.layer_sizes[layer]))  # assigned below
-            continue
-        betas = []
-        for i in range(net.layer_sizes[layer]):
-            k = NodeId(layer, i)
-            p_r = received_power(net, k)
-            if p_r == 0.0:
-                raise ValueError(f"received power at {k} is zero; scheme undefined")
-            betas.append(math.sqrt(net.budget(k) / ((1.0 + delta) * p_r)))
-        layers.append(np.array(betas))
+    layers = [
+        np.zeros(net.layer_sizes[layer]) if layer == l else safe_gains(net, layer, delta)
+        for layer in range(1, net.num_layers)
+    ]
+    if l == net.num_layers:
+        return GainAssignment.from_layers(layers), None
+
+    g = destination_rows(net, [None] + layers)[l]
+    zero = np.flatnonzero(g == 0.0)
+    if zero.size:
+        raise ValueError(
+            f"{NodeId(l, int(zero[0]))} is invisible at the destination (compound gain zero)"
+        )
+    p_r = received_powers(net, l)
+    require_power(l, p_r, "scheme undefined")
+    c1 = float(np.min(np.abs(g) / p_r * np.sqrt(net.relay_budgets[l - 1] / (1.0 + 1.0 / p_r))))
+    layers[l - 1] = c1 * np.sqrt(p_r) / g
     assignment = GainAssignment.from_layers(layers)
 
-    if l == net.num_layers:
-        return assignment, None
-
-    g = downstream_gains(net, assignment, l)
-    c1 = math.inf
-    for k, g_k in g.items():
-        if g_k == 0.0:
-            raise ValueError(f"{k} is invisible at the destination (compound gain zero)")
-        p_r = received_power(net, k)
-        if p_r == 0.0:
-            raise ValueError(f"received power at {k} is zero; scheme undefined")
-        c1 = min(c1, abs(g_k) / p_r * math.sqrt(net.budget(k) / (1.0 + node_delta(net, k))))
-
-    exceptional = np.array(
-        [
-            c1 * math.sqrt(received_power(net, NodeId(l, i))) / g[NodeId(l, i)]
-            for i in range(net.layer_sizes[l])
-        ]
+    nodes = [NodeId(l, i) for i in range(net.layer_sizes[l])]
+    return assignment, SchemeParams(
+        c1=c1,
+        g={k: float(v) for k, v in zip(nodes, g)},
+        gamma={k: float(v) for k, v in zip(nodes, layers[l - 1] * g)},
     )
-    arrays = [arr.copy() for arr in assignment.layers]
-    arrays[l - 1] = exceptional
-    assignment = GainAssignment.from_layers(arrays)
-
-    gamma = {k: assignment.get(net, k) * g_k for k, g_k in g.items()}
-    return assignment, SchemeParams(c1=c1, g=g, gamma=gamma)

@@ -266,3 +266,22 @@ def test_shipped_configs_load():
             ["bounds", "--network", str(CONFIGS / name), "--layer", "1", "--out", "stdout"]
         )
         assert code == 0
+
+
+def test_out_into_missing_directory(three_layer_file, tmp_path, capsys):
+    out = tmp_path / "no_such_dir" / "bounds.csv"
+    code = main(["bounds", "--network", three_layer_file, "--layer", "2", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["inf", "nan", "10,inf", "10,100,nan"])
+def test_non_finite_grid_rejected(three_layer_file, grid, capsys):
+    code = main(["sweep-ps", "--network", three_layer_file, "--layer", "2", "--grid", grid])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not finite" in captured.err
+    assert grid.split(",")[-1] in captured.err

@@ -51,6 +51,14 @@ def test_shape_mismatch_rejected():
         build_network([1, 2, 1], [[[1.0]], [[1.0, 1.0]]], [1.0, 1.0], 1.0)
 
 
+@pytest.mark.parametrize("middle", [2.7, float("nan"), float("inf"), "2"])
+def test_non_integer_layer_size_rejected(middle):
+    # int() would silently turn 2.7 into 2; the sizes must be integers as given
+    with pytest.raises(NetworkValidationError, match="integers"):
+        build_network([1, middle, 1], [[[1.0], [1.0]], [[1.0, 1.0]]], [1.0, 1.0], 1.0)
+    assert build_network([1, 2.0, 1], [[[1.0], [1.0]], [[1.0, 1.0]]], [1.0, 1.0], 1.0)
+
+
 def test_nonpositive_power_rejected():
     with pytest.raises(NetworkValidationError, match="positive"):
         build_network([1, 2, 1], [[[1.0], [1.0]], [[1.0, 1.0]]], [1.0, 0.0], 1.0)

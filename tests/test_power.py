@@ -33,6 +33,25 @@ def test_received_power_sign_cancellation():
         node_delta(net, net.destination)
 
 
+def test_received_power_near_cancellation_is_zero():
+    # 0.1 + 0.2 - 0.3 leaves about 5.6e-17 in floating point: residue, not
+    # power, so the zero-power errors fire instead of huge boxes and margins.
+    sum_in = [[1.0], [1.0], [1.0]]
+    net = build_network([1, 3, 1], [sum_in, [[0.1, 0.2, -0.3]]], [1.0] * 3, 1.0)
+    assert received_power(net, net.destination) == 0.0
+    with pytest.raises(ValueError, match="reciprocal"):
+        node_delta(net, net.destination)
+    with pytest.raises(ValueError, match="regime margin undefined"):
+        regime_delta(net, RegimeSpec(exceptional_layer=1))
+
+    net = build_network(
+        [1, 3, 1, 1], [sum_in, [[0.1, 0.2, -0.3]], [[1.0]]], [1.0] * 4, 1.0
+    )
+    assert received_power(net, NodeId(2, 0)) == 0.0
+    with pytest.raises(ValueError, match="no safe gain"):
+        max_safe_gain(net, NodeId(2, 0))
+
+
 def test_received_power_coherent_diamond():
     net = diamond_network()
     assert received_power(net, net.destination) == pytest.approx(4.0)
