@@ -11,11 +11,11 @@ from anclab import (
     NetworkValidationError,
     NodeId,
     build_network,
-    neighbors_in,
     network_from_dict,
     network_to_dict,
     received_power,
 )
+from anclab.network import neighbors_in
 from anclab.presets import asymmetric_three_layer, diamond_network
 
 # --- a minimal diamond: source, two parallel relays, destination -----------

@@ -9,6 +9,7 @@ and LF line endings; reports can also be emitted as JSON.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -245,6 +246,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="anclab",
@@ -306,9 +308,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_grid(argv: list[str]) -> list[str]:
+    """Join --grid with its value, so a grid like -1,2 is not read as an option."""
+    out = list(argv)
+    for i in range(len(out) - 1, 0, -1):
+        if out[i - 1] == "--grid" and not out[i].startswith("--"):
+            out[i - 1 : i + 1] = [f"--grid={out[i]}"]
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_grid(argv))
     try:
         return args.func(args)
     except (CliError, NetworkValidationError, ValueError) as exc:

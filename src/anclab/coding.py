@@ -7,11 +7,11 @@ the sum over all relay paths of the per-hop products beta * h, with the
 origin's own amplification included (the source has beta fixed at 1).
 
 In matrix form one hop is A_l = H_l diag(beta_l).  propagate_coefficients
-runs one forward sweep that carries the source vector s_{l+1} = A_l s_l
-and the transfer matrix from every upstream relay noise to layer l+1,
-whose squared row sums give the propagated noise power, plus one backward
-sweep for the destination rows r_l (the coefficient from a layer-l
-transmission to the destination).  path_coefficient recomputes a single
+runs one forward sweep (forward_hop) that carries the source vector
+s_{l+1} = A_l s_l and the transfer matrix from every upstream relay noise
+to layer l+1, whose squared row sums give the propagated noise power, plus
+one backward sweep for the destination rows r_l (the coefficient from a
+layer-l transmission to the destination).  path_coefficient recomputes one
 coefficient by brute-force path enumeration, does not use these arrays,
 and exists as an independent cross-check.
 """
@@ -134,23 +134,28 @@ def destination_rows(net: LayeredNetwork, betas) -> list[np.ndarray]:
     return [row[0] for row in reversed(rows)]
 
 
-def propagate_coefficients(net: LayeredNetwork, gains: GainAssignment) -> CodingState:
-    """Source vectors, noise powers and destination rows of every layer.
+def forward_hop(net: LayeredNetwork, betas, layer: int, source, transfer):
+    """Source vector and noise transfer matrix one hop on, at layer + 1.
 
-    The forward sweep keeps the transfer matrix from every relay noise
-    injected so far (columns in layer-major order) to the current layer;
-    the origin's own amplification rides along with its first hop.
+    transfer maps every relay noise of layers 1..layer-1 (columns layer-major)
+    to layer; this layer's own noises join scaled by their gains.
     """
+    h, beta = net.gain_matrices[layer], betas[layer]
+    transfer = h @ (beta[:, np.newaxis] * transfer)
+    if layer > 0:
+        transfer = np.concatenate([transfer, h * beta], axis=1)
+    return h @ (source * beta), transfer
+
+
+def propagate_coefficients(net: LayeredNetwork, gains: GainAssignment) -> CodingState:
+    """Source vectors, noise powers and destination rows of every layer."""
     betas = [np.ones(1)] + [gains.layer_array(net, layer) for layer in range(1, net.num_layers)]
     source = [np.ones(1)]
     noise = [np.zeros(1)]
     transfer = np.zeros((1, 0))  # the source injects no noise
-    for layer, h in enumerate(net.gain_matrices):
-        beta = betas[layer]
-        source.append(h @ (source[-1] * beta))
-        transfer = h @ (beta[:, np.newaxis] * transfer)
-        if layer > 0:  # this layer's own noises join, scaled by their gains
-            transfer = np.concatenate([transfer, h * beta], axis=1)
+    for layer in range(net.num_layers):
+        s, transfer = forward_hop(net, betas, layer, source[-1], transfer)
+        source.append(s)
         noise.append((transfer * transfer).sum(axis=1) + 1.0)
     return CodingState(
         net=net,

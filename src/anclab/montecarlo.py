@@ -247,9 +247,6 @@ class AgreementReport:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     def to_csv(self) -> str:
         lines = ["quantity,node,empirical,analytic,stderr,z,ok"]
         for c in self.checks:

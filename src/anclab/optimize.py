@@ -1,20 +1,26 @@
 """Numeric baseline for the best destination SNR over box-constrained gains.
 
-Multi-start projected coordinate ascent.  Holding every other gain fixed,
-the SNR is a ratio of quadratics in one gain whose stationary condition is
-linear, so each coordinate step evaluates the exact interior optimum against
-the box ends instead of a line search.  The closed-form schemes are always
-injected as starting points, so the result never falls below them.
+Multi-start projected coordinate ascent in layer-major order.  Holding every
+other gain fixed, the SNR is a ratio of quadratics in one gain whose
+stationary condition is linear, so each step compares the exact interior
+optimum with the box ends.  Gains of layer l do not change its source vector
+s_l, the transfer matrix T_l from upstream relay noises, or its destination
+row r_l, so a sweep builds those once per layer and steps through the
+layer's relays on them with O(R) rank-one updates.  After every sweep a
+fresh propagation gives the destination SNR that drives convergence and is
+reported.  The closed-form schemes are always starting points, so the
+result never falls below them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import destination_snr
-from .coding import propagate_coefficients
+from .coding import destination_rows, forward_hop
 from .gains import GainAssignment
 from .network import LayeredNetwork, RegimeSpec
 from .power import safe_gains
@@ -29,45 +35,24 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.restarts < 1:
-            raise ValueError("need at least one restart")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        for name, least in (("restarts", 1), ("max_iterations", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance!r}")
 
 
-def _gain_boxes(net: LayeredNetwork) -> list[np.ndarray]:
-    return [safe_gains(net, layer) for layer in range(1, net.num_layers)]
+def _best_gain(a0, a1, q0, q1, q2, box, power) -> float:
+    """Exact maximizer of (a0 + a1 b)^2 power / (q0 + q1 b + q2 b^2) over b in [-box, box].
 
-
-def _coefficients_at(net, beta_layers, k, value):
-    """Destination signal coefficient and noise coefficients with beta_k set."""
-    arrays = [arr.copy() for arr in beta_layers]
-    arrays[k.layer - 1][k.index] = value
-    gains = GainAssignment.from_layers(arrays)
-    state = propagate_coefficients(net, gains)
-    noises = [state.betas[l] * state.rows[l] for l in range(1, net.num_layers)]
-    return float(state.source[-1][0]), np.concatenate(noises)
-
-
-def _best_coordinate(net, beta_layers, k, box):
-    """Exact maximizer of the destination SNR over beta_k in [-box, box].
-
-    The signal coefficient is affine in beta_k and every noise coefficient is
-    affine as well, so the SNR is (a0 + a1 b)^2 P / (q0 + q1 b + q2 b^2) and
-    its stationary equation reduces to a linear one after factoring out the
-    signal zero.
+    The stationary equation reduces to a linear one after factoring out the
+    signal zero, so the interior optimum is compared with the box ends.
     """
-    f0, n0 = _coefficients_at(net, beta_layers, k, 0.0)
-    f1, n1 = _coefficients_at(net, beta_layers, k, 1.0)
-    a0, a1 = f0, f1 - f0
-    d = n1 - n0
-    q0 = float(n0 @ n0) + 1.0
-    q1 = 2.0 * float(n0 @ d)
-    q2 = float(d @ d)
 
     def snr(b: float) -> float:
         sig = a0 + a1 * b
-        return sig * sig * net.source_power / (q0 + q1 * b + q2 * b * b)
+        return sig * sig * power / (q0 + q1 * b + q2 * b * b)
 
     candidates = [box, -box]  # positive end first so sign-symmetric ties stay positive
     slope = a1 * q1 - 2.0 * a0 * q2
@@ -79,20 +64,61 @@ def _best_coordinate(net, beta_layers, k, box):
     return max(candidates, key=snr)
 
 
+def _sweep_layer(net, betas, layer, box, forward, rows, choose=_best_gain):
+    """Coordinate steps over one layer's relays in index order, in place.
+
+    forward is (s_l, T_l) from coding.forward_hop.  Relay i adds beta_i s_i r_i
+    to the destination signal f and beta_i r_i (T_l[i], e_i) to its noise
+    coefficients, so each step reads its affine coefficients off f and the
+    noise vector and updates both by a rank-one step; choose(a0, a1, q0, q1,
+    q2, box_i, power) picks the new gain.  Returns f and the noise vector.
+    """
+    source, transfer = forward
+    r, beta = rows[layer], betas[layer]
+    upstream = transfer.shape[1]
+    noise = np.concatenate(
+        [(r * beta) @ transfer]
+        + [betas[m] * rows[m] for m in range(layer, net.num_layers)]
+    )
+    up, own = noise[:upstream], noise[upstream : upstream + beta.size]
+    f = float((beta * source) @ r)
+    power = net.source_power
+    for i, (s_i, r_i, b_i, box_i) in enumerate(
+        zip(source.tolist(), r.tolist(), beta.tolist(), box.tolist())
+    ):
+        d_up = r_i * transfer[i]
+        a1 = s_i * r_i
+        a0 = f - b_i * a1
+        up -= b_i * d_up
+        own[i] = 0.0
+        q0 = float(noise @ noise) + 1.0
+        q1 = 2.0 * float(up @ d_up)
+        q2 = float(d_up @ d_up) + r_i * r_i
+        b = choose(a0, a1, q0, q1, q2, box_i, power)
+        up += b * d_up
+        own[i] = b * r_i
+        f = a0 + b * a1
+        beta[i] = b
+    return f, noise
+
+
 def _ascend(net, start_layers, boxes, max_iterations, tolerance):
-    """Coordinate sweeps from one start; returns (beta_layers, snr)."""
-    beta_layers = [np.clip(arr, -b, b) for arr, b in zip(start_layers, boxes)]
-    current = destination_snr(net, GainAssignment.from_layers(beta_layers))
+    """Coordinate sweeps from one start; returns (beta_layers, snr).
+
+    A sweep's rows stay valid: sweeping layer l changes no gain past it.
+    """
+    betas = [np.ones(1)] + [np.clip(arr, -b, b) for arr, b in zip(start_layers, boxes)]
+    current = destination_snr(net, GainAssignment.from_layers(betas[1:]))
     for _ in range(max_iterations):
-        for k in net.relays():
-            box = boxes[k.layer - 1][k.index]
-            beta_layers[k.layer - 1][k.index] = _best_coordinate(net, beta_layers, k, box)
-        updated = destination_snr(net, GainAssignment.from_layers(beta_layers))
-        if updated <= current * (1.0 + tolerance):
-            current = max(current, updated)
+        rows = destination_rows(net, betas)
+        forward = (np.ones(1), np.zeros((1, 0)))
+        for layer in range(1, net.num_layers):
+            forward = forward_hop(net, betas, layer - 1, *forward)
+            _sweep_layer(net, betas, layer, boxes[layer - 1], forward, rows)
+        previous, current = current, destination_snr(net, GainAssignment.from_layers(betas[1:]))
+        if current <= previous * (1.0 + tolerance):
             break
-        current = updated
-    return beta_layers, current
+    return betas[1:], current
 
 
 def optimize_gains(
@@ -104,7 +130,7 @@ def optimize_gains(
     feasible exceptional layer, and config.restarts random draws inside the
     boxes.  Deterministic for a fixed config; ties keep the earliest start.
     """
-    boxes = _gain_boxes(net)
+    boxes = [safe_gains(net, layer) for layer in range(1, net.num_layers)]
     starts: list[list[np.ndarray]] = []
 
     starts.append([arr.copy() for arr in full_power_gains(net).layers])

@@ -19,7 +19,6 @@ check_feasible reports both verdicts side by side.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -202,9 +201,6 @@ class FeasibilityReport:
             "sufficient_ok": self.sufficient_ok,
             "exact_ok": self.exact_ok,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def to_csv(self) -> str:
         lines = ["node,beta,beta_max,exact_power,budget,sufficient_ok,exact_ok"]

@@ -285,3 +285,25 @@ def test_non_finite_grid_rejected(three_layer_file, grid, capsys):
     assert captured.out == ""
     assert "not finite" in captured.err
     assert grid.split(",")[-1] in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [("sweep-ps", "source powers must be positive"), ("sweep-delta", "margins must be positive")],
+    ids=["sweep-ps", "sweep-delta"],
+)
+def test_grid_with_leading_minus_reaches_validation(three_layer_file, command, message, capsys):
+    code = main([command, "--network", three_layer_file, "--layer", "2", "--grid", "-1,2"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_repeated_calls_keep_defaults(three_layer_file, capsys):
+    # The parser is built once; a flag given in one call must not leak into the next.
+    args = ["bounds", "--network", three_layer_file, "--layer", "2"]
+    assert main(args + ["--format", "json"]) == 0
+    assert capsys.readouterr().out.startswith("{")
+    assert main(args) == 0
+    assert capsys.readouterr().out.startswith("scheme,")

@@ -9,10 +9,10 @@ from anclab import (
     build_network,
     count_paths,
     enumerate_paths,
-    local_coefficient,
     path_coefficient,
     propagate_coefficients,
 )
+from anclab.coding import local_coefficient
 from anclab.presets import chain_network, diamond_network
 from conftest import random_network
 

@@ -8,10 +8,10 @@ from anclab import (
     NetworkValidationError,
     NodeId,
     build_network,
-    neighbors_in,
     network_from_dict,
     network_to_dict,
 )
+from anclab.network import neighbors_in
 from conftest import random_network
 
 

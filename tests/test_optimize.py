@@ -76,3 +76,27 @@ def test_bad_config_rejected():
         OptimizerConfig(restarts=0)
     with pytest.raises(ValueError):
         OptimizerConfig(tolerance=0.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tolerance", float("nan")),
+        ("tolerance", float("inf")),
+        ("max_iterations", -3),
+        ("max_iterations", 1.5),
+        ("restarts", 1.5),
+        ("seed", 1.5),
+    ],
+)
+def test_bad_config_field_named(field, value):
+    with pytest.raises(ValueError, match=field):
+        OptimizerConfig(**{field: value})
+
+
+def test_reported_snr_is_that_of_returned_gains():
+    rng = np.random.default_rng(64)
+    for _ in range(40):
+        net = random_network(rng, max_layers=4, max_width=4)
+        gains, snr = optimize_gains(net, OptimizerConfig(restarts=2, seed=4))
+        assert snr == destination_snr(net, gains)

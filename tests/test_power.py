@@ -12,11 +12,11 @@ from anclab import (
     exact_transmit_power,
     max_safe_gain,
     node_delta,
-    power_profile,
     propagate_coefficients,
     received_power,
     regime_delta,
 )
+from anclab.power import power_profile
 from anclab.presets import chain_network, diamond_network
 from conftest import box_limits, random_box_gains, random_network
 
