@@ -11,7 +11,7 @@ rate between them.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .coding import CodingState, propagate_coefficients
 from .gains import GainAssignment
 from .network import LayeredNetwork, RegimeSpec
 from .power import received_power, received_powers, regime_delta
+from .report import as_json, records_csv
 from .schemes import SchemeParams
 
 
@@ -173,14 +174,11 @@ class BoundsReport:
     rank_one_cutset: float | None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return as_json(self)
 
     def to_csv(self) -> str:
-        """Header plus one row; floats to 12 significant digits, None empty."""
-        names = [f.name for f in fields(self)]
-        values = [getattr(self, name) for name in names]
-        row = ["" if v is None else v if isinstance(v, str) else f"{v:.12g}" for v in values]
-        return ",".join(names) + "\n" + ",".join(row) + "\n"
+        """Header plus one row."""
+        return records_csv(BoundsReport, [self])
 
 
 def bounds_report(

@@ -2,22 +2,23 @@
 
 Subcommands: bounds, simulate, optimize, sweep-ps, sweep-n, sweep-delta.
 All tabular output is RFC-4180-style CSV with a header row, `.` decimals,
-and LF line endings; reports can also be emitted as JSON.  Exit codes:
-0 success, 1 validation or usage error, 2 a requested check failed.
+and LF line endings, written by anclab.report.  bounds and simulate take
+--format csv|json; optimize always writes JSON and the three sweeps always
+write CSV.  Options are never abbreviated.  Exit codes: 0 success, 1
+validation or usage error, 2 a requested check failed.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 
 import numpy as np
 
 from .bounds import anc_rate, bounds_report, destination_snr, rate_lower_bound, rate_upper_bound
-from .gains import GainAssignment, gains_to_dict, load_gains
+from .gains import gains_to_dict, load_gains
 from .montecarlo import SimConfig, agreement_check, analytic_moments, simulate
 from .network import (
     LayeredNetwork,
@@ -30,6 +31,7 @@ from .network import (
 from .optimize import OptimizerConfig, optimize_gains
 from .power import check_feasible
 from .presets import replicate_last_relay_layer, rescale_to_delta
+from .report import csv_table, json_text
 from .schemes import full_power_gains, matched_gains
 
 EXIT_OK = 0
@@ -90,17 +92,6 @@ def _grid(text: str) -> list[float]:
     return values
 
 
-def _csv(rows: list[list], header: list[str]) -> str:
-    def fmt(v):
-        if isinstance(v, float):
-            return f"{v:.12g}"
-        return str(v)
-
-    lines = [",".join(header)]
-    lines.extend(",".join(fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -113,17 +104,13 @@ def cmd_bounds(args) -> int:
         gains, snr = optimize_gains(net, OptimizerConfig(restarts=args.restarts, seed=args.seed))
     else:
         gains, params, spec = _scheme_gains(net, args.scheme, args.layer)
-    report = bounds_report(net, spec, gains, params, scheme=args.scheme)
+    payload = bounds_report(net, spec, gains, params, scheme=args.scheme).to_dict()
+    if args.scheme == "optimizer":
+        payload["optimizer_rate"] = anc_rate(snr)
     if args.format == "json":
-        payload = report.to_dict()
-        if args.scheme == "optimizer":
-            payload["optimizer_rate"] = anc_rate(snr)
-        _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    elif args.scheme == "optimizer":
-        header, row = report.to_csv().splitlines()
-        _write(f"{header},optimizer_rate\n{row},{anc_rate(snr):.12g}\n", args.out)
+        _write(json_text(payload) + "\n", args.out)
     else:
-        _write(report.to_csv(), args.out)
+        _write(csv_table(payload, [payload.values()]), args.out)
     return EXIT_OK
 
 
@@ -154,7 +141,7 @@ def cmd_simulate(args) -> int:
             "agreement": agreement.to_dict(),
             "feasibility": feasibility.to_dict(),
         }
-        _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        _write(json_text(payload) + "\n", args.out)
     else:
         _write(agreement.to_csv(), args.out)
     return EXIT_OK if agreement.ok else EXIT_CHECK_FAILED
@@ -167,7 +154,7 @@ def cmd_optimize(args) -> int:
     payload = gains_to_dict(net, gains)
     payload["snr"] = snr
     payload["rate"] = anc_rate(snr)
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _write(json_text(payload) + "\n", args.out)
     return EXIT_OK
 
 
@@ -175,7 +162,7 @@ def _sweep(args, header: str, row) -> int:
     """One CSV row per grid value, row(base network, value) -> list."""
     base = _load_net(args.network)
     rows = [row(base, value) for value in _grid(args.grid)]
-    _write(_csv(rows, header.split(",")), args.out)
+    _write(csv_table(header.split(","), rows), args.out)
     return EXIT_OK
 
 
@@ -233,6 +220,11 @@ def cmd_sweep_delta(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    # Subparsers are built with this class too.  An abbreviation such as
+    # --gri would slip past _attach_grid, so none is accepted.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits with code 2 on usage errors; the contract reserves 2 for
     # failed checks, so remap usage problems to the validation code.
     def error(self, message):
@@ -243,7 +235,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="stdout", help="output file, or stdout")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
 @functools.cache
@@ -263,6 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=6)
     _add_common(p)
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("simulate", help="sample-level simulation with agreement check")
@@ -275,6 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--z", type=float, default=4.0, help="agreement threshold in stderr units")
     _add_common(p)
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("optimize", help="coordinate-ascent SNR maximization")

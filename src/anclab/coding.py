@@ -96,32 +96,6 @@ class CodingState:
         return beta * beta * self.received_second_moments(layer)
 
 
-def local_coefficient(
-    net: LayeredNetwork,
-    gains: GainAssignment,
-    upstream: tuple[NodeId, NodeId] | None,
-    downstream: tuple[NodeId, NodeId],
-) -> float:
-    """Per-edge-pair scale factor beta_k * h applied at the shared node k.
-
-    upstream is None when the pair starts at the source (whose gain is 1).
-    Raises ValueError when the edges are not adjacent channels of one node.
-    """
-    k, m = downstream
-    if m.layer != k.layer + 1:
-        raise ValueError(f"edge {k}->{m} does not cross one layer")
-    if upstream is None:
-        if k.layer != 0:
-            raise ValueError("only pairs starting at the source may omit the upstream edge")
-    else:
-        j, k_up = upstream
-        if k_up != k:
-            raise ValueError(f"edges {j}->{k_up} and {k}->{m} do not share a node")
-        if k_up.layer != j.layer + 1:
-            raise ValueError(f"edge {j}->{k_up} does not cross one layer")
-    return gains.get(net, k) * net.gain(k, m)
-
-
 def destination_rows(net: LayeredNetwork, betas) -> list[np.ndarray]:
     """Backward sweep r_{L-1} = H_{L-1}, r_l = (r_{l+1} * beta_{l+1}) H_l.
 

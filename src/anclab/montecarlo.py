@@ -12,17 +12,17 @@ for a fixed seed regardless of the worker count or scheduling.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bounds import destination_snr
 from .coding import propagate_coefficients
 from .gains import GainAssignment
-from .network import LayeredNetwork, NodeId
+from .network import LayeredNetwork, NodeId, require_int_fields
+from .report import as_json, json_text, records_csv
 
 _BLOCK = 1 << 15
 
@@ -34,10 +34,7 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.samples < 1:
-            raise ValueError("need at least one sample")
-        if self.workers < 1:
-            raise ValueError("need at least one worker")
+        require_int_fields(self, (("samples", 1), ("seed", 0), ("workers", 1)))
 
 
 @dataclass(frozen=True)
@@ -55,32 +52,10 @@ class SimReport:
     snr_se: float
 
     def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "seed": self.seed,
-            "transmit_power": {str(k): v for k, v in self.transmit_power.items()},
-            "transmit_power_se": {str(k): v for k, v in self.transmit_power_se.items()},
-            "source_coeff": self.source_coeff,
-            "source_coeff_se": self.source_coeff_se,
-            "noise_power": self.noise_power,
-            "snr": self.snr,
-            "snr_se": self.snr_se,
-        }
+        return as_json(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def to_csv(self) -> str:
-        lines = ["quantity,node,value,stderr"]
-        for k in sorted(self.transmit_power):
-            lines.append(
-                f"transmit_power,{k},{self.transmit_power[k]:.12g},"
-                f"{self.transmit_power_se[k]:.12g}"
-            )
-        lines.append(f"source_coeff,,{self.source_coeff:.12g},{self.source_coeff_se:.12g}")
-        lines.append(f"noise_power,,{self.noise_power:.12g},")
-        lines.append(f"snr,,{self.snr:.12g},{self.snr_se:.12g}")
-        return "\n".join(lines) + "\n"
+        return json_text(self)
 
 
 def _node_noise(seed: int, node: NodeId, block: int, size: int) -> np.ndarray:
@@ -216,7 +191,7 @@ class AgreementCheck:
     empirical: float
     analytic: float
     stderr: float
-    z: float
+    z: float = field(metadata={"float_format": ".6g"})
     ok: bool
 
 
@@ -230,32 +205,10 @@ class AgreementReport:
         return all(c.ok for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {
-            "z_threshold": self.z_threshold,
-            "ok": self.ok,
-            "checks": [
-                {
-                    "quantity": c.quantity,
-                    "node": None if c.node is None else str(c.node),
-                    "empirical": c.empirical,
-                    "analytic": c.analytic,
-                    "stderr": c.stderr,
-                    "z": c.z,
-                    "ok": c.ok,
-                }
-                for c in self.checks
-            ],
-        }
+        return {**as_json(self), "ok": self.ok}
 
     def to_csv(self) -> str:
-        lines = ["quantity,node,empirical,analytic,stderr,z,ok"]
-        for c in self.checks:
-            node = "" if c.node is None else str(c.node)
-            lines.append(
-                f"{c.quantity},{node},{c.empirical:.12g},{c.analytic:.12g},"
-                f"{c.stderr:.12g},{c.z:.6g},{str(c.ok).lower()}"
-            )
-        return "\n".join(lines) + "\n"
+        return records_csv(AgreementCheck, self.checks)
 
 
 def agreement_check(

@@ -19,6 +19,14 @@ class NetworkValidationError(ValueError):
     """Raised when a network description violates the layered model."""
 
 
+def require_int_fields(obj, limits: tuple[tuple[str, int], ...]) -> None:
+    """Raise ValueError naming the first field of obj that is not an integer >= its limit."""
+    for name, least in limits:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True, order=True)
 class NodeId:
     """Position of a node: layer index and index within the layer."""

@@ -22,7 +22,7 @@ import numpy as np
 from .bounds import destination_snr
 from .coding import destination_rows, forward_hop
 from .gains import GainAssignment
-from .network import LayeredNetwork, RegimeSpec
+from .network import LayeredNetwork, RegimeSpec, require_int_fields
 from .power import safe_gains
 from .schemes import full_power_gains, matched_gains
 
@@ -35,10 +35,7 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name, least in (("restarts", 1), ("max_iterations", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        require_int_fields(self, (("restarts", 1), ("max_iterations", 1), ("seed", 0)))
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError(f"tolerance must be positive and finite, got {self.tolerance!r}")
 

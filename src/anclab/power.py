@@ -27,6 +27,7 @@ import numpy as np
 from .coding import CodingState, propagate_coefficients
 from .gains import GainAssignment
 from .network import LayeredNetwork, NodeId, RegimeSpec
+from .report import as_json, records_csv
 
 # A coherent sum this small next to the sum of its terms' magnitudes is
 # treated as exact cancellation.
@@ -113,34 +114,6 @@ def max_safe_gain(net: LayeredNetwork, k: NodeId) -> float:
     return float(safe_gains(net, k.layer)[k.index])
 
 
-@dataclass(frozen=True)
-class PowerProfile:
-    """Network-only power quantities, optionally with a regime margin."""
-
-    received_power: dict[NodeId, float]
-    delta_node: dict[NodeId, float]
-    max_gain_sq: dict[NodeId, float]
-    regime_delta: float | None = None
-
-
-def power_profile(net: LayeredNetwork, spec: RegimeSpec | None = None) -> PowerProfile:
-    received, deltas, max_sq = {}, {}, {}
-    for layer in range(1, net.num_layers + 1):
-        p = received_powers(net, layer)
-        require_power(layer, p, "its reciprocal is undefined")
-        box = safe_gains(net, layer) if layer < net.num_layers else None
-        for i in range(net.layer_sizes[layer]):
-            k = NodeId(layer, i)
-            received[k] = float(p[i])
-            deltas[k] = 1.0 / float(p[i])
-            if box is not None:
-                max_sq[k] = float(box[i]) ** 2
-    delta = regime_delta(net, spec) if spec is not None else None
-    return PowerProfile(
-        received_power=received, delta_node=deltas, max_gain_sq=max_sq, regime_delta=delta
-    )
-
-
 def exact_transmit_power(
     net: LayeredNetwork,
     gains: GainAssignment,
@@ -185,31 +158,11 @@ class FeasibilityReport:
         return all(e.exact_ok for e in self.entries)
 
     def to_dict(self) -> dict:
-        return {
-            "nodes": [
-                {
-                    "node": str(e.node),
-                    "beta": e.beta,
-                    "beta_max": e.beta_max,
-                    "exact_power": e.exact_power,
-                    "budget": e.budget,
-                    "sufficient_ok": e.sufficient_ok,
-                    "exact_ok": e.exact_ok,
-                }
-                for e in self.entries
-            ],
-            "sufficient_ok": self.sufficient_ok,
-            "exact_ok": self.exact_ok,
-        }
+        verdicts = {"sufficient_ok": self.sufficient_ok, "exact_ok": self.exact_ok}
+        return {"nodes": as_json(self.entries), **verdicts}
 
     def to_csv(self) -> str:
-        lines = ["node,beta,beta_max,exact_power,budget,sufficient_ok,exact_ok"]
-        for e in self.entries:
-            lines.append(
-                f"{e.node},{e.beta:.12g},{e.beta_max:.12g},{e.exact_power:.12g},"
-                f"{e.budget:.12g},{str(e.sufficient_ok).lower()},{str(e.exact_ok).lower()}"
-            )
-        return "\n".join(lines) + "\n"
+        return records_csv(NodeFeasibility, self.entries)
 
 
 def check_feasible(net: LayeredNetwork, gains: GainAssignment) -> FeasibilityReport:

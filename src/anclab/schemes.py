@@ -25,13 +25,12 @@ from .power import received_powers, regime_delta, require_power, safe_gains
 class SchemeParams:
     """Matched-combiner quantities for the exceptional layer.
 
-    g maps each layer node to its compound downstream coefficient toward the
-    destination (excluding the node's own gain); gamma = beta * g is the
-    per-node end-to-end scale, equal to c1 * sqrt(received power) > 0.
+    gamma maps each layer node to beta * g, its gain times its compound
+    downstream coefficient toward the destination: the per-node end-to-end
+    scale, equal to c1 * sqrt(received power) > 0.
     """
 
     c1: float
-    g: dict[NodeId, float]
     gamma: dict[NodeId, float]
 
 
@@ -97,9 +96,5 @@ def matched_gains(
     layers[l - 1] = c1 * np.sqrt(p_r) / g
     assignment = GainAssignment.from_layers(layers)
 
-    nodes = [NodeId(l, i) for i in range(net.layer_sizes[l])]
-    return assignment, SchemeParams(
-        c1=c1,
-        g={k: float(v) for k, v in zip(nodes, g)},
-        gamma={k: float(v) for k, v in zip(nodes, layers[l - 1] * g)},
-    )
+    gamma = {NodeId(l, i): float(v) for i, v in enumerate(layers[l - 1] * g)}
+    return assignment, SchemeParams(c1=c1, gamma=gamma)

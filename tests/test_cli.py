@@ -307,3 +307,33 @@ def test_repeated_calls_keep_defaults(three_layer_file, capsys):
     assert capsys.readouterr().out.startswith("{")
     assert main(args) == 0
     assert capsys.readouterr().out.startswith("scheme,")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--restarts", "1"],
+        ["sweep-ps", "--layer", "2", "--grid", "10"],
+        ["sweep-n", "--grid", "2"],
+        ["sweep-delta", "--layer", "2", "--grid", "0.1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_format_only_on_bounds_and_simulate(three_layer_file, argv, capsys):
+    argv = argv[:1] + ["--network", three_layer_file] + argv[1:]
+    assert main(argv) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--format", "json"])
+    assert excinfo.value.code == 1
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["-1,2", "10"])
+def test_abbreviated_option_is_a_usage_error(three_layer_file, grid, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["sweep-ps", "--network", three_layer_file, "--layer", "2", "--gri", grid])
+    assert excinfo.value.code == 1
+    err = capsys.readouterr().err
+    assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+    assert "expected one argument" not in err

@@ -12,7 +12,6 @@ from anclab import (
     path_coefficient,
     propagate_coefficients,
 )
-from anclab.coding import local_coefficient
 from anclab.presets import chain_network, diamond_network
 from conftest import random_network
 
@@ -20,38 +19,6 @@ from conftest import random_network
 def unit_diamond():
     net = diamond_network()
     return net, GainAssignment.from_layers([[1.0, 1.0]])
-
-
-def test_local_coefficient_product():
-    net = build_network(
-        [1, 1, 1, 1], [[[1.0]], [[2.0]], [[1.0]]], [1.0, 1.0], 1.0
-    )
-    gains = GainAssignment.from_layers([[0.5], [1.0]])
-    k, m = NodeId(1, 0), NodeId(2, 0)
-    value = local_coefficient(net, gains, (NodeId(0, 0), k), (k, m))
-    assert value == 0.5 * 2.0
-
-
-def test_local_coefficient_source_gain_is_one():
-    net = build_network([1, 1, 1], [[[3.0]], [[1.0]]], [1.0], 1.0)
-    value = local_coefficient(net, GainAssignment.from_layers([[1.0]]), None, (NodeId(0, 0), NodeId(1, 0)))
-    assert value == 3.0
-
-
-def test_local_coefficient_carries_sign():
-    net = build_network([1, 1, 1, 1], [[[1.0]], [[-2.0]], [[1.0]]], [1.0, 1.0], 1.0)
-    gains = GainAssignment.from_layers([[0.5], [1.0]])
-    value = local_coefficient(net, gains, (NodeId(0, 0), NodeId(1, 0)), (NodeId(1, 0), NodeId(2, 0)))
-    assert value == -1.0
-
-
-def test_local_coefficient_rejects_disjoint_edges():
-    net = diamond_network()
-    gains = GainAssignment.from_layers([[1.0, 1.0]])
-    with pytest.raises(ValueError, match="share"):
-        local_coefficient(
-            net, gains, (NodeId(0, 0), NodeId(1, 0)), (NodeId(1, 1), NodeId(2, 0))
-        )
 
 
 def test_diamond_coefficients():

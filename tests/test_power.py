@@ -16,7 +16,6 @@ from anclab import (
     received_power,
     regime_delta,
 )
-from anclab.power import power_profile
 from anclab.presets import chain_network, diamond_network
 from conftest import box_limits, random_box_gains, random_network
 
@@ -191,16 +190,6 @@ def test_all_max_gains_pass_sufficient():
         net = random_network(rng, coherent=True)
         report = check_feasible(net, GainAssignment.from_layers(box_limits(net)))
         assert report.sufficient_ok
-
-
-def test_power_profile_fields():
-    net = diamond_network()
-    profile = power_profile(net, RegimeSpec(exceptional_layer=1))
-    for k, p in profile.received_power.items():
-        assert profile.delta_node[k] == pytest.approx(1.0 / p)
-    for k, m in profile.max_gain_sq.items():
-        assert m == pytest.approx(max_safe_gain(net, k) ** 2, rel=1e-12)
-    assert profile.regime_delta == pytest.approx(1.0 / received_power(net, net.destination))
 
 
 def test_feasibility_report_serialization():
