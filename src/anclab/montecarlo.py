@@ -6,8 +6,14 @@ model prescribes (full duplex, no intersymbol memory, one scalar per node).
 The empirical moments give an independent statistical check of the analytic
 coefficients, transmit powers, and destination SNR.
 
-Noise streams are keyed by (seed, node, block), so reports are bit-identical
-for a fixed seed regardless of the worker count or scheduling.
+Samples come in blocks of 2^15.  In each block the source symbol and every
+node's noise come from a generator of their own, keyed by (seed, layer,
+index, block), so a block's samples do not depend on which worker runs it.
+A block runs in passes of 2^11 samples: each pass continues every stream
+into buffers allocated once per block and adds the pass's moment sums to the
+block's.  The streams carry on from pass to pass, so the samples equal one
+draw of the block's length.  Blocks' sums are added in block order, so
+reports are bit-identical for a fixed seed regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ from .network import LayeredNetwork, NodeId, require_int_fields
 from .report import as_json, json_text, records_csv
 
 _BLOCK = 1 << 15
+_PASS = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -34,7 +41,7 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        require_int_fields(self, (("samples", 1), ("seed", 0), ("workers", 1)))
+        require_int_fields(self, (("samples", 2), ("seed", 0), ("workers", 1)))
 
 
 @dataclass(frozen=True)
@@ -58,46 +65,64 @@ class SimReport:
         return json_text(self)
 
 
-def _node_noise(seed: int, node: NodeId, block: int, size: int) -> np.ndarray:
-    rng = np.random.default_rng([seed, node.layer, node.index, block])
-    return rng.standard_normal(size)
-
-
 def _block_sums(net, beta_layers, seed, block, size):
-    """Raw moment sums for one block of samples."""
-    x = math.sqrt(net.source_power) * _node_noise(seed, NodeId(0, 0), block, size)
-    x = x[np.newaxis, :]
-    sums = {NodeId(0, 0): (float(np.sum(x**2)), float(np.sum(x**4)))}
-    x_source = x[0]
-    for layer in range(1, net.num_layers + 1):
-        z = np.stack(
-            [
-                _node_noise(seed, NodeId(layer, i), block, size)
-                for i in range(net.layer_sizes[layer])
-            ]
-        )
-        y = net.gain_matrices[layer - 1] @ x + z
-        if layer == net.num_layers:
-            y_d = y[0]
-            return sums, (
-                float(np.sum(y_d**2)),
-                float(np.sum(y_d**4)),
-                float(np.sum(y_d * x_source)),
-                float(np.sum((y_d * x_source) ** 2)),
-                float(np.sum(y_d**3 * x_source)),
-            )
-        x = beta_layers[layer - 1][:, np.newaxis] * y
-        for i in range(net.layer_sizes[layer]):
-            sums[NodeId(layer, i)] = (float(np.sum(x[i] ** 2)), float(np.sum(x[i] ** 4)))
-    raise AssertionError("unreachable")
+    """Raw moment sums for one block of samples, taken pass by pass.
+
+    Returns the sums of x^2 and x^4 of each transmitting node, shape
+    (2, nodes) in layer order from the source, and the destination's sums of
+    y^2, yx, y^3 x, y^4 and (yx)^2, where x is the source symbol.
+    """
+    sizes = net.layer_sizes
+    rngs = [
+        [np.random.default_rng([seed, layer, i, block]) for i in range(width)]
+        for layer, width in enumerate(sizes)
+    ]
+    scale = math.sqrt(net.source_power)
+    source = np.empty(_PASS)
+    # Received rows of even and odd layers, and scratch rows for the noise,
+    # the powers and the destination's three products.
+    even, odd, scratch = (np.empty(max(*sizes, 3) * _PASS) for _ in range(3))
+    node = np.zeros((2, sum(sizes[:-1])))
+    dest = np.zeros(5)
+    for start in range(0, size, _PASS):
+        n = min(_PASS, size - start)
+        x = source[:n].reshape(1, n)
+        rngs[0][0].standard_normal(out=x[0])
+        x *= scale
+        col = 0
+        for layer in range(1, len(sizes)):
+            sq = scratch[: x.size].reshape(x.shape)
+            np.square(x, out=sq)
+            node[0, col : col + len(x)] += sq.sum(axis=1)
+            np.square(sq, out=sq)
+            node[1, col : col + len(x)] += sq.sum(axis=1)
+            col += len(x)
+            y = (odd if layer % 2 else even)[: sizes[layer] * n].reshape(-1, n)
+            z = scratch[: y.size].reshape(y.shape)
+            for row, rng in zip(z, rngs[layer]):
+                rng.standard_normal(out=row)
+            np.matmul(net.gain_matrices[layer - 1], x, out=y)
+            y += z
+            if layer < net.num_layers:
+                y *= beta_layers[layer - 1][:, np.newaxis]
+                x = y
+        t = scratch[: 3 * n].reshape(3, n)
+        np.square(y[0], out=t[0])
+        np.multiply(y[0], source[:n], out=t[1])
+        np.multiply(t[0], t[1], out=t[2])
+        dest[:3] += t.sum(axis=1)
+        np.square(t[:2], out=t[:2])
+        dest[3:] += t[:2].sum(axis=1)
+    return node, dest
 
 
 def simulate(net: LayeredNetwork, gains: GainAssignment, config: SimConfig) -> SimReport:
     """Propagate config.samples draws and report empirical moments.
 
     Gains are applied as given; infeasible assignments are simulated, not
-    rejected.  Blocks are accumulated in index order, so the report does not
-    depend on how many workers ran them.
+    rejected.  Workers run whole blocks, each in passes over noise streams
+    keyed by (seed, node, block), and the blocks' sums are added in block
+    order as they arrive, so the report does not depend on the worker count.
     """
     beta_layers = [gains.layer_array(net, layer) for layer in range(1, net.num_layers)]
     blocks = [
@@ -109,32 +134,21 @@ def simulate(net: LayeredNetwork, gains: GainAssignment, config: SimConfig) -> S
         block, size = args
         return _block_sums(net, beta_layers, config.seed, block, size)
 
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(run, blocks))
-    else:
-        results = [run(b) for b in blocks]
+    nodes = [NodeId(l, i) for l in range(net.num_layers) for i in range(net.layer_sizes[l])]
+    node_sums = np.zeros((2, len(nodes)))
+    dest = np.zeros(5)
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        for block_nodes, block_dest in (pool.map if config.workers > 1 else map)(run, blocks):
+            node_sums += block_nodes
+            dest += block_dest
 
     n = float(config.samples)
-    node_sums: dict[NodeId, list[float]] = {}
-    dest = [0.0] * 5
-    for sums, dest_part in results:
-        for node, (s2, s4) in sums.items():
-            acc = node_sums.setdefault(node, [0.0, 0.0])
-            acc[0] += s2
-            acc[1] += s4
-        for i, v in enumerate(dest_part):
-            dest[i] += v
+    mean = node_sums[0] / n
+    se = np.sqrt(np.maximum(node_sums[1] / n - mean * mean, 0.0) / n)
+    power = dict(zip(nodes, mean.tolist()))
+    power_se = dict(zip(nodes, se.tolist()))
 
-    power = {}
-    power_se = {}
-    for node, (s2, s4) in node_sums.items():
-        mean = s2 / n
-        var = max(s4 / n - mean * mean, 0.0)
-        power[node] = mean
-        power_se[node] = math.sqrt(var / n)
-
-    s_y2, s_y4, s_yx, s_yx2, s_y3x = dest
+    s_y2, s_yx, s_y3x, s_y4, s_yx2 = dest.tolist()
     p_s = net.source_power
     f_hat = s_yx / (n * p_s)
     var_yx = max(s_yx2 / n - (s_yx / n) ** 2, 0.0)
@@ -215,6 +229,8 @@ def agreement_check(
     report: SimReport, analytic: dict, z_threshold: float = 4.0
 ) -> AgreementReport:
     """Compare empirical moments against analytic values at a z threshold."""
+    if not (math.isfinite(z_threshold) and z_threshold > 0):
+        raise ValueError(f"z_threshold must be finite and positive, got {z_threshold!r}")
     if set(report.transmit_power) != set(analytic["transmit_power"]):
         raise ValueError("node sets of the report and the analytic values differ")
     checks = []

@@ -8,6 +8,8 @@ exercise the sign bookkeeping of the coefficient algebra.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from anclab import GainAssignment, NodeId, build_network, max_safe_gain
@@ -55,3 +57,30 @@ def random_box_gains(
             fractions *= rng.choice([-1.0, 1.0], size=limits.shape)
         layers.append(fractions * limits)
     return GainAssignment.from_layers(layers)
+
+
+def per_node_block_sums(net, beta_layers, seed: int, block: int, size: int):
+    """Reference for `montecarlo._block_sums`: one whole-block draw per node
+    and node-by-node moment sums, returned in the kernel's layout."""
+
+    def noise(layer, index):
+        return np.random.default_rng([seed, layer, index, block]).standard_normal(size)
+
+    x_source = math.sqrt(net.source_power) * noise(0, 0)
+    x = x_source[np.newaxis, :]
+    node = [(np.sum(x_source**2), np.sum(x_source**4))]
+    for layer in range(1, net.num_layers + 1):
+        z = np.stack([noise(layer, i) for i in range(net.layer_sizes[layer])])
+        y = net.gain_matrices[layer - 1] @ x + z
+        if layer < net.num_layers:
+            x = beta_layers[layer - 1][:, np.newaxis] * y
+            node += [(np.sum(row**2), np.sum(row**4)) for row in x]
+    y_d = y[0]
+    dest = [
+        np.sum(y_d**2),
+        np.sum(y_d * x_source),
+        np.sum(y_d**3 * x_source),
+        np.sum(y_d**4),
+        np.sum((y_d * x_source) ** 2),
+    ]
+    return np.array(node).T, np.array(dest)

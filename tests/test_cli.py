@@ -3,7 +3,15 @@ from pathlib import Path
 
 import pytest
 
-from anclab import GainAssignment, save_gains, save_network
+from anclab import (
+    GainAssignment,
+    SimConfig,
+    agreement_check,
+    analytic_moments,
+    save_gains,
+    save_network,
+    simulate,
+)
 from anclab.cli import main
 from anclab.presets import asymmetric_three_layer, chain_network, wide_bottleneck_network
 
@@ -129,6 +137,23 @@ def test_simulate_check_failure_exit_code(chain_file, tmp_path):
         ]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("z", ["nan", "inf", "-1", "0"])
+def test_bad_z_threshold_rejected(chain_file, z, capsys):
+    net = chain_network(hops=2)
+    gains = GainAssignment.from_layers([[1.0]])
+    report = simulate(net, gains, SimConfig(samples=1000, seed=1))
+    with pytest.raises(ValueError, match="z_threshold"):
+        agreement_check(report, analytic_moments(net, gains), z_threshold=float(z))
+    code = main(
+        ["simulate", "--network", chain_file, "--scheme", "full_power", "--layer", "1",
+         "--samples", "1000", "--z", z]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: z_threshold") and len(captured.err.splitlines()) == 1
 
 
 def test_simulate_flags_infeasible_gains(chain_file, tmp_path, capsys):

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from anclab import (
     GainAssignment,
+    build_network,
     NodeId,
     SimConfig,
     agreement_check,
@@ -11,8 +14,9 @@ from anclab import (
     exact_transmit_power,
     simulate,
 )
+from anclab.montecarlo import _PASS, _block_sums
 from anclab.presets import chain_network, diamond_network
-from conftest import random_box_gains, random_network
+from conftest import per_node_block_sums, random_box_gains, random_network
 
 
 def test_chain_snr_within_three_stderr():
@@ -135,8 +139,62 @@ def test_sim_config_validation():
         ("seed", 1.5),
         ("samples", 1.5),
         ("samples", float("nan")),
+        ("samples", 1),
     ],
 )
 def test_bad_sim_config_field_named(field, value):
     with pytest.raises(ValueError, match=field):
         SimConfig(**{field: value})
+
+
+# Block sizes around the pass length, and 7232, the tail block of 40 000 samples.
+BLOCK_SIZES = [1, 2, _PASS - 1, _PASS, _PASS + 1, 7232, 2**15]
+
+
+def kernel_cases():
+    rng = np.random.default_rng(29)
+    yield chain_network(hops=3), GainAssignment.from_layers([[0.7], [-1.1]])
+    for _ in range(3):
+        net = random_network(rng, max_layers=4, max_width=6)
+        yield net, random_box_gains(rng, net, signed=True)
+
+
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+def test_block_sums_match_per_node_loop(size):
+    for seed, (net, gains) in enumerate(kernel_cases()):
+        betas = [gains.layer_array(net, layer) for layer in range(1, net.num_layers)]
+        node, dest = _block_sums(net, betas, seed, 3, size)
+        ref_node, ref_dest = per_node_block_sums(net, betas, seed, 3, size)
+        np.testing.assert_allclose(node, ref_node, rtol=1e-12)
+        np.testing.assert_allclose(dest, ref_dest, rtol=1e-12)
+
+
+@pytest.mark.parametrize("size", BLOCK_SIZES)
+def test_pass_continuation_equals_one_draw(size):
+    key = [11, 2, 1, 5]  # (seed, layer, index, block)
+    whole = np.random.default_rng(key).standard_normal(size)
+    rng = np.random.default_rng(key)
+    passes = np.empty(size)
+    for start in range(0, size, _PASS):
+        rng.standard_normal(out=passes[start : start + _PASS])
+    assert passes.tobytes() == whole.tobytes()
+
+
+def test_block_memory_is_pass_sized():
+    """One 2^15-sample block on 32 relays peaks near its 2^11-sample pass
+    buffers (about 1 MB), far below whole-block arrays (about 20 MB)."""
+    rng = np.random.default_rng(16)
+    sizes = [1, 16, 16, 1]
+    matrices = [
+        rng.uniform(0.1, 2.0, (m, k)) * rng.choice([-1.0, 1.0], (m, k))
+        for k, m in zip(sizes, sizes[1:])
+    ]
+    net = build_network(sizes, matrices, rng.uniform(0.5, 4.0, 32), 2.0)
+    gains = random_box_gains(rng, net, signed=True)
+    tracemalloc.start()
+    try:
+        simulate(net, gains, SimConfig(samples=2**15, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

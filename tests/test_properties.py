@@ -1,5 +1,6 @@
 """Property-based checks on generated networks: the coding core, the
-optimizer's layer sweep, the rate sandwich and JSON round trips.
+optimizer's layer sweep, the rate sandwich, JSON round trips and the Monte
+Carlo block kernel.
 
 Networks have 2..4 hops and up to 3 nodes per relay layer, so the path
 oracle stays cheap.  Runs are derandomized, so every run checks the same
@@ -31,7 +32,9 @@ from anclab import (
     rate_upper_bound,
 )
 from anclab.coding import destination_rows, forward_hop
+from anclab.montecarlo import _block_sums
 from anclab.optimize import _best_gain, _sweep_layer
+from conftest import per_node_block_sums
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -213,3 +216,14 @@ def test_layer_sweep_matches_fresh_propagation(case, data):
     abs_f, abs_noise = _destination_coefficients(abs_net, abs_betas)
     assert abs(f - fresh_f) <= 1e-12 * max(1.0, abs_f)
     assert np.all(np.abs(noise - fresh_noise) <= 1e-12 * np.maximum(1.0, abs_noise))
+
+
+@PROPERTY_SETTINGS
+@given(networks_with_gains(signed=True), st.integers(1, 5000), st.integers(0, 2**32 - 1))
+def test_pass_wise_block_sums_match_per_node_loop(case, size, seed):
+    net, gains = case
+    betas = [gains.layer_array(net, layer) for layer in range(1, net.num_layers)]
+    node, dest = _block_sums(net, betas, seed, 0, size)
+    ref_node, ref_dest = per_node_block_sums(net, betas, seed, 0, size)
+    np.testing.assert_allclose(node, ref_node, rtol=1e-12)
+    np.testing.assert_allclose(dest, ref_dest, rtol=1e-12)
