@@ -4,8 +4,9 @@ All rates are in bits per channel use, logarithms base 2.  The upper bound
 comes from an idealized network in which every layer except the exceptional
 one is noiseless; the lower bound is the closed-form rate guaranteed for
 the matched scheme.  Both are functions of the exceptional layer's received
-powers and the regime margin, so a valid instance sandwiches its achieved
-rate between them.
+powers and the regime margin.  With nonnegative channel gains a valid
+instance sandwiches its achieved rate between them; signed gains can lift
+the lower bound above it (tests/test_bounds.py keeps a counterexample).
 """
 
 from __future__ import annotations
@@ -81,9 +82,10 @@ def lower_bound_terms(
 ) -> tuple[float, float, float]:
     """Lower-bound value and its noise constants (rate, c2, c3).
 
-    delta defaults to the regime margin of the network; passing an explicit
-    value evaluates the closed form at that margin (0 gives the ideal case,
-    where the geometric noise sum vanishes).
+    The rate is below the matched scheme's only for nonnegative channel
+    gains.  delta defaults to the regime margin of the network;
+    passing an explicit value evaluates the closed form at that margin (0
+    gives the ideal case, where the geometric noise sum vanishes).
     """
     spec.validate(net)
     l = spec.exceptional_layer

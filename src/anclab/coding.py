@@ -96,15 +96,17 @@ class CodingState:
         return beta * beta * self.received_second_moments(layer)
 
 
-def destination_rows(net: LayeredNetwork, betas) -> list[np.ndarray]:
+def destination_rows(net: LayeredNetwork, betas, matrices=None) -> list[np.ndarray]:
     """Backward sweep r_{L-1} = H_{L-1}, r_l = (r_{l+1} * beta_{l+1}) H_l.
 
     betas[l] is read for layers 1..L-1 only; r_l excludes layer l's own gain,
     so betas[l] * r_l is the destination coefficient of a layer-l noise.
+    matrices, if given, stand in for the hop matrices H_l.
     """
-    rows = [net.gain_matrices[-1]]  # shape (1, n_{L-1})
+    h = matrices or net.gain_matrices
+    rows = [h[-1]]  # shape (1, n_{L-1})
     for layer in range(net.num_layers - 1, 0, -1):
-        rows.append((rows[-1] * betas[layer]) @ net.gain_matrices[layer - 1])
+        rows.append((rows[-1] * betas[layer]) @ h[layer - 1])
     return [row[0] for row in reversed(rows)]
 
 

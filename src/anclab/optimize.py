@@ -6,25 +6,26 @@ stationary condition is linear, so each step compares the exact interior
 optimum with the box ends.  Gains of layer l do not change its source vector
 s_l, the transfer matrix T_l from upstream relay noises, or its destination
 row r_l, so a sweep builds those once per layer and steps through the
-layer's relays on them with O(R) rank-one updates.  After every sweep a
-fresh propagation gives the destination SNR that drives convergence and is
-reported.  The closed-form schemes are always starting points, so the
-result never falls below them.
+layer's relays on them with O(R) rank-one updates.  The sweep's forward
+pass, one hop on, gives the SNR bit for bit as a fresh propagation would; a
+start still improving after max_iterations sweeps logs a warning.  The
+closed-form schemes are always starting points, so the result never falls
+below them.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import destination_snr
 from .coding import destination_rows, forward_hop
 from .gains import GainAssignment
 from .network import LayeredNetwork, RegimeSpec, require_int_fields
 from .power import safe_gains
-from .schemes import full_power_gains, matched_gains
+from .schemes import matched_gains
 
 
 @dataclass(frozen=True)
@@ -80,17 +81,18 @@ def _sweep_layer(net, betas, layer, box, forward, rows, choose=_best_gain):
     up, own = noise[:upstream], noise[upstream : upstream + beta.size]
     f = float((beta * source) @ r)
     power = net.source_power
-    for i, (s_i, r_i, b_i, box_i) in enumerate(
-        zip(source.tolist(), r.tolist(), beta.tolist(), box.tolist())
+    steps = r[:, np.newaxis] * transfer  # row i: relay i's noise-coefficient step per unit gain
+    q2s = np.vecdot(steps, steps) + r * r
+    for i, (s_i, r_i, b_i, box_i, q2) in enumerate(
+        zip(source.tolist(), r.tolist(), beta.tolist(), box.tolist(), q2s.tolist())
     ):
-        d_up = r_i * transfer[i]
+        d_up = steps[i]
         a1 = s_i * r_i
         a0 = f - b_i * a1
         up -= b_i * d_up
         own[i] = 0.0
         q0 = float(noise @ noise) + 1.0
         q1 = 2.0 * float(up @ d_up)
-        q2 = float(d_up @ d_up) + r_i * r_i
         b = choose(a0, a1, q0, q1, q2, box_i, power)
         up += b * d_up
         own[i] = b * r_i
@@ -99,23 +101,30 @@ def _sweep_layer(net, betas, layer, box, forward, rows, choose=_best_gain):
     return f, noise
 
 
-def _ascend(net, start_layers, boxes, max_iterations, tolerance):
-    """Coordinate sweeps from one start; returns (beta_layers, snr).
+def _ascend(net, start_layers, boxes, max_iterations, tolerance, start=0):
+    """Coordinate sweeps from start number start; returns (beta_layers, snr).
 
-    A sweep's rows stay valid: sweeping layer l changes no gain past it.
+    Sweep 0 only propagates.  Sweeping layer l changes no gain past it, so a
+    sweep's rows stay valid and its forward pass ends under the final gains.
     """
     betas = [np.ones(1)] + [np.clip(arr, -b, b) for arr, b in zip(start_layers, boxes)]
-    current = destination_snr(net, GainAssignment.from_layers(betas[1:]))
-    for _ in range(max_iterations):
-        rows = destination_rows(net, betas)
+    snrs = []
+    for sweep in range(max_iterations + 1):
+        rows = destination_rows(net, betas) if sweep else None
         forward = (np.ones(1), np.zeros((1, 0)))
         for layer in range(1, net.num_layers):
             forward = forward_hop(net, betas, layer - 1, *forward)
-            _sweep_layer(net, betas, layer, boxes[layer - 1], forward, rows)
-        previous, current = current, destination_snr(net, GainAssignment.from_layers(betas[1:]))
-        if current <= previous * (1.0 + tolerance):
+            if sweep:
+                _sweep_layer(net, betas, layer, boxes[layer - 1], forward, rows)
+        source, transfer = forward_hop(net, betas, net.num_layers - 1, *forward)
+        f = float(source[0])  # as propagate_coefficients and destination_snr round
+        snrs.append(f * f * net.source_power / float((transfer * transfer).sum(axis=1)[0] + 1.0))
+        if sweep and snrs[-1] <= snrs[-2] * (1.0 + tolerance):
             break
-    return betas[1:], current
+    else:
+        message = "start %d stopped at max_iterations=%d before converging: SNR %r -> %r"
+        logging.getLogger(__name__).warning(message, start, max_iterations, *snrs[-2:])
+    return betas[1:], snrs[-1]
 
 
 def optimize_gains(
@@ -128,23 +137,21 @@ def optimize_gains(
     boxes.  Deterministic for a fixed config; ties keep the earliest start.
     """
     boxes = [safe_gains(net, layer) for layer in range(1, net.num_layers)]
-    starts: list[list[np.ndarray]] = []
-
-    starts.append([arr.copy() for arr in full_power_gains(net).layers])
+    starts = [boxes]  # full power: the safe_gains boxes, which _ascend clips into copies
     for layer in range(1, net.num_layers):
         try:
             assignment, _ = matched_gains(net, RegimeSpec(exceptional_layer=layer))
         except ValueError:
             continue
-        starts.append([arr.copy() for arr in assignment.layers])
+        starts.append(list(assignment.layers))
 
     rng = np.random.default_rng(config.seed)
     for _ in range(config.restarts):
         starts.append([rng.uniform(-b, b) for b in boxes])
 
     best_layers, best_snr = None, -1.0
-    for start in starts:
-        layers, snr = _ascend(net, start, boxes, config.max_iterations, config.tolerance)
+    for index, start in enumerate(starts):
+        layers, snr = _ascend(net, start, boxes, config.max_iterations, config.tolerance, index)
         if snr > best_snr:
             best_layers, best_snr = layers, snr
     return GainAssignment.from_layers(best_layers), best_snr

@@ -18,7 +18,7 @@ import numpy as np
 from .coding import destination_rows
 from .gains import GainAssignment
 from .network import LayeredNetwork, NodeId, RegimeSpec
-from .power import received_powers, regime_delta, require_power, safe_gains
+from .power import _CANCEL_RTOL, received_powers, regime_delta, require_power, safe_gains
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,8 @@ def matched_gains(
         return GainAssignment.from_layers(layers), None
 
     g = destination_rows(net, [None] + layers)[l]
-    zero = np.flatnonzero(g == 0.0)
+    scale = destination_rows(net, [None, *map(np.abs, layers)], [*map(np.abs, net.gain_matrices)])
+    zero = np.flatnonzero(np.abs(g) <= _CANCEL_RTOL * scale[l])  # cancellation residue is zero
     if zero.size:
         raise ValueError(
             f"{NodeId(l, int(zero[0]))} is invisible at the destination (compound gain zero)"

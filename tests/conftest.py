@@ -39,6 +39,15 @@ def random_network(
     return build_network(sizes, matrices, budgets, source_power)
 
 
+def near_cancelling_network(eps: float):
+    """Signed [1, 2, 2, 1] network whose layer-1 node 0 reaches the destination
+    through b_0 + (-2 + eps) b_1, which all but cancels under the matched
+    scheme with exceptional layer 1 as eps shrinks."""
+    return build_network(
+        [1, 2, 2, 1], [[[10], [10]], [[1, 0], [1, 1]], [[1, -2 + eps]]], [1, 1, 1, 1], 100
+    )
+
+
 def box_limits(net) -> list[np.ndarray]:
     return [
         np.array([max_safe_gain(net, NodeId(layer, i)) for i in range(net.layer_sizes[layer])])

@@ -27,7 +27,7 @@ from anclab.presets import (
     diamond_network,
     rescale_to_delta,
 )
-from conftest import random_network
+from conftest import near_cancelling_network, random_network
 
 
 def test_anc_rate_values():
@@ -223,3 +223,16 @@ def test_bounds_report_serialization():
     data = report.to_dict()
     assert data["rank_one_cutset"] is None
     assert data["scheme"] == "generalized"
+
+
+def test_lower_bound_signed_counterexample():
+    # The sandwich holds for nonnegative gains only: here the matched scheme
+    # achieves about 0.02697 bits against a closed-form lower bound of 0.02944.
+    net = near_cancelling_network(0.5)
+    spec = RegimeSpec(exceptional_layer=1)
+    gains, params = matched_gains(net, spec)
+    achieved = anc_rate(destination_snr(net, gains))
+    lower = rate_lower_bound(net, spec, params)
+    assert achieved == pytest.approx(0.02697, abs=1e-5)
+    assert lower == pytest.approx(0.02944, abs=1e-5)
+    assert lower > achieved

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -100,3 +102,23 @@ def test_reported_snr_is_that_of_returned_gains():
         net = random_network(rng, max_layers=4, max_width=4)
         gains, snr = optimize_gains(net, OptimizerConfig(restarts=2, seed=4))
         assert snr == destination_snr(net, gains)
+
+
+def test_unconverged_start_logs_warning(caplog):
+    net = asymmetric_three_layer()
+    with caplog.at_level(logging.WARNING, logger="anclab.optimize"):
+        optimize_gains(net, OptimizerConfig(max_iterations=1))
+    records = [r for r in caplog.records if r.name == "anclab.optimize"]
+    starts = [r.args[0] for r in records]
+    assert records and starts == sorted(set(starts))  # at most one warning per start
+    assert all(r.levelno == logging.WARNING for r in records)
+    start, iterations, previous, current = records[0].args
+    assert iterations == 1 and previous < current
+    assert records[0].getMessage() == (
+        f"start {start} stopped at max_iterations=1 before converging: "
+        f"SNR {previous!r} -> {current!r}"
+    )
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="anclab.optimize"):
+        optimize_gains(net, OptimizerConfig())
+    assert not caplog.records

@@ -1,7 +1,8 @@
 """Report outputs stay byte-identical to the goldens in tests/data.
 
 The CLI cases cover outputs that no other check pins: the simulate CSV and
-JSON, and the optimizer column of bounds.  The feasibility report is written
+JSON, the optimize JSON of every shipped config, and the optimizer column of
+bounds.  The feasibility report is written
 through the library, once feasible and once violating both conditions.
 """
 
@@ -24,6 +25,14 @@ CLI_CASES = {
     for cfg, layer in (("chain", 1), ("three_layer", 2))
     for fmt in ("csv", "json")
 }
+CLI_CASES.update(
+    {
+        f"optimize-{cfg}.json": [
+            "optimize", "--network", str(CONFIGS / f"{cfg}.json"), "--restarts", "2", "--seed", "5",
+        ]
+        for cfg in ("chain", "diamond", "three_layer", "wide_bottleneck_base")
+    }
+)
 CLI_CASES.update(
     {
         f"bounds-optimizer-three_layer.{fmt}": [

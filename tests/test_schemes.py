@@ -18,7 +18,7 @@ from anclab import (
     regime_delta,
 )
 from anclab.presets import asymmetric_three_layer, chain_network, wide_bottleneck_network
-from conftest import random_network
+from conftest import near_cancelling_network, random_network
 
 
 def test_full_power_is_per_node_maximum():
@@ -178,6 +178,13 @@ def test_matched_rejects_invisible_node():
     )
     with pytest.raises(ValueError, match="invisible"):
         matched_gains(broken, RegimeSpec(exceptional_layer=2))
+
+
+def test_matched_rejects_cancelled_compound_gain():
+    with pytest.raises(ValueError, match="1:0 is invisible"):
+        matched_gains(near_cancelling_network(1e-13), RegimeSpec(exceptional_layer=1))
+    _, params = matched_gains(near_cancelling_network(1e-9), RegimeSpec(exceptional_layer=1))
+    assert params.c1 == 3.5353573242702135e-14
 
 
 def test_regime_spec_validation():
