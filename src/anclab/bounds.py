@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import CodingState, propagate_coefficients
+from .coding import CodingState, destination_rows, propagate_coefficients
 from .gains import GainAssignment
-from .network import LayeredNetwork, RegimeSpec
+from .network import _CANCEL_RTOL, LayeredNetwork, RegimeSpec
 from .power import received_power, received_powers, regime_delta
 from .report import as_json, records_csv
 from .schemes import SchemeParams
@@ -47,13 +47,19 @@ def ideal_snr(net: LayeredNetwork, gains: GainAssignment, noisy_layer: int) -> f
 
     All other noise sources, including the destination's own, are zeroed;
     this idealization can only raise the SNR, so it dominates the true one
-    for any gain assignment.
+    for any gain assignment.  A noise coefficient no larger than 1e-12 times
+    the same product taken on |H| and |beta| is cancellation residue and
+    counts as zero.
     """
     if not 1 <= noisy_layer <= net.num_layers - 1:
         raise ValueError(f"noisy layer must lie in 1..{net.num_layers - 1}, got {noisy_layer}")
     state = propagate_coefficients(net, gains)
     f = state.f_source(net.destination)
-    noise = state.betas[noisy_layer] * state.rows[noisy_layer]
+    beta = state.betas[noisy_layer]
+    noise = beta * state.rows[noisy_layer]
+    abs_rows = destination_rows(net, [*map(np.abs, state.betas)], [*map(np.abs, net.gain_matrices)])
+    scale = np.abs(beta) * abs_rows[noisy_layer]
+    noise[np.abs(noise) <= _CANCEL_RTOL * scale] = 0.0
     denom = float(noise @ noise)
     if denom == 0.0:
         raise ValueError(f"no noise from layer {noisy_layer} reaches the destination")

@@ -4,15 +4,36 @@ A network has layers 0..L with a single source at layer 0 and a single
 destination at layer L.  Edges exist only between adjacent layers and are
 described by one real gain matrix per hop.  Every node adds unit-variance
 Gaussian noise; every transmitting node has a linear power budget.
+
+The network is frozen, so what depends on it alone is computed once per
+instance: received_powers, the full-budget coherent received power of every
+layer, is evaluated on first access, kept on the instance and handed out as
+read-only arrays.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
+
+
+# A coherent sum this small next to the sum of its terms' magnitudes is
+# treated as exact cancellation.
+_CANCEL_RTOL = 1e-12
+
+
+def coherent_power(h: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """Read-only (sum_j h[k,j] a_j)^2 of every row k, cancellation residue set to zero."""
+    total = np.vecdot(h, amplitudes)  # one dot per row, as a scalar per-node sum would
+    total[np.abs(total) <= _CANCEL_RTOL * (np.abs(h) @ amplitudes)] = 0.0
+    power = total * total
+    power.flags.writeable = False
+    return power
 
 
 class NetworkValidationError(ValueError):
@@ -97,6 +118,18 @@ class LayeredNetwork:
             raise ValueError("destination has no power budget")
         return float(self.relay_budgets[k.layer - 1][k.index])
 
+    @cached_property
+    def received_powers(self) -> tuple[np.ndarray, ...]:
+        """Full-budget coherent received power (sum_j h[k,j] sqrt(P_j))^2 of layers 1..L.
+
+        Entry l-1 belongs to layer l.  It depends on the network only, never
+        on gains: every in-neighbor transmits a full-budget symbol, and
+        signed gains enter the sum before squaring.
+        """
+        amplitudes = [np.array([math.sqrt(self.source_power)])]
+        amplitudes += [np.sqrt(budgets) for budgets in self.relay_budgets]
+        return tuple(map(coherent_power, self.gain_matrices, amplitudes))
+
 
 def build_network(
     layer_sizes: Sequence[int],
@@ -136,6 +169,7 @@ def build_network(
             f"expected {num_hops} gain matrices, got {len(gain_matrices)}"
         )
     matrices = []
+    nonzero = []
     for l, raw in enumerate(gain_matrices):
         mat = np.array(raw, dtype=np.float64)
         expected = (sizes[l + 1], sizes[l])
@@ -143,10 +177,11 @@ def build_network(
             raise NetworkValidationError(
                 f"gain matrix {l} has shape {mat.shape}, expected {expected}"
             )
-        if not np.all(np.isfinite(mat)):
+        if not np.isfinite(mat).all():
             raise NetworkValidationError(f"gain matrix {l} contains non-finite entries")
         mat.flags.writeable = False
         matrices.append(mat)
+        nonzero.append(mat != 0.0)
 
     num_relays = sum(sizes[1:-1])
     budgets_flat = np.array(power_budgets, dtype=np.float64)
@@ -169,16 +204,18 @@ def build_network(
 
     # Reachability: every non-source node hears someone, every non-destination
     # node is heard by someone in the next layer.
-    for l, mat in enumerate(matrices):
-        incoming = np.any(mat != 0.0, axis=1)
-        for index in np.flatnonzero(~incoming):
+    for l, nz in enumerate(nonzero):
+        incoming = nz.any(axis=1)
+        if not incoming.all():
+            index = int(np.argmin(incoming))  # the first False
             raise NetworkValidationError(
-                f"node {NodeId(l + 1, int(index))} is unreachable: all incoming gains are zero"
+                f"node {NodeId(l + 1, index)} is unreachable: all incoming gains are zero"
             )
-        outgoing = np.any(mat != 0.0, axis=0)
-        for index in np.flatnonzero(~outgoing):
+        outgoing = nz.any(axis=0)
+        if not outgoing.all():
+            index = int(np.argmin(outgoing))
             raise NetworkValidationError(
-                f"node {NodeId(l, int(index))} is silent: all outgoing gains are zero"
+                f"node {NodeId(l, index)} is silent: all outgoing gains are zero"
             )
 
     return LayeredNetwork(

@@ -3,24 +3,30 @@
 Everything here is computed one layer at a time on arrays.
 received_powers(layer) is the signal power each node of a layer would see
 with every in-neighbor transmitting a full-budget symbol coherently; it
-depends only on the network, never on the chosen gains.  Gains are signed
-and enter the sum before squaring, so mixed signs can drive the value
-toward zero.  A sum no larger than 1e-12 times the summed magnitudes of
-its terms is cancellation residue and counts as exactly zero, which is a
-hard error wherever its reciprocal is needed.
+depends only on the network, never on the chosen gains, so it is computed
+once per network (LayeredNetwork.received_powers) and every caller reads
+the same read-only array.  Gains are signed and enter the sum before
+squaring, so mixed signs can drive the value toward zero.  A sum no larger
+than 1e-12 times the summed magnitudes of its terms is cancellation residue
+and counts as exactly zero, which is a hard error wherever its reciprocal
+is needed.
 
 safe_gains(layer) is the box: the largest amplification magnitude for which
 the received-power sufficient condition guarantees each relay's transmit
 budget.  The per-node functions read single entries of these two arrays.
 The condition is one-directional: exact_transmit_power computes the true
 second moment from the coding state so the two can be compared, and
-check_feasible reports both verdicts side by side.
+check_feasible reports both verdicts side by side.  Its report holds one
+column per quantity over all relays, layer-major; the per-relay records
+(entries) are built only when read or serialized.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -29,23 +35,12 @@ from .gains import GainAssignment
 from .network import LayeredNetwork, NodeId, RegimeSpec
 from .report import as_json, records_csv
 
-# A coherent sum this small next to the sum of its terms' magnitudes is
-# treated as exact cancellation.
-_CANCEL_RTOL = 1e-12
-
 
 def received_powers(net: LayeredNetwork, layer: int) -> np.ndarray:
-    """Full-budget coherent received power (sum_j h[j,k] sqrt(P_j))^2 of a layer."""
+    """Full-budget coherent received power (sum_j h[j,k] sqrt(P_j))^2 of a layer, read-only."""
     if not 1 <= layer <= net.num_layers:
         raise ValueError(f"layer {layer} receives nothing; receiving layers are 1..{net.num_layers}")
-    h = net.gain_matrices[layer - 1]
-    if layer == 1:
-        amplitudes = np.array([math.sqrt(net.source_power)])
-    else:
-        amplitudes = np.sqrt(net.relay_budgets[layer - 2])
-    total = np.vecdot(h, amplitudes)  # one dot per row, as a scalar per-node sum would
-    total[np.abs(total) <= _CANCEL_RTOL * (np.abs(h) @ amplitudes)] = 0.0
-    return total * total
+    return net.received_powers[layer - 1]
 
 
 def require_power(layer: int, powers: np.ndarray, consequence: str) -> None:
@@ -145,17 +140,43 @@ class NodeFeasibility:
     exact_ok: bool
 
 
-@dataclass(frozen=True)
+_COLUMNS = tuple(f.name for f in fields(NodeFeasibility))[1:]  # every field but node
+
+
+def _column(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """Concatenation of per-layer arrays; empty for a network without relays."""
+    return np.concatenate(parts) if parts else np.zeros(0)
+
+
+@dataclass(frozen=True, eq=False)
 class FeasibilityReport:
-    entries: tuple[NodeFeasibility, ...]
+    """Per-relay feasibility as read-only columns over every relay, layer-major.
+
+    columns maps each NodeFeasibility field but node to its column;
+    relay_sizes holds the number of relays of layers 1..L-1.
+    """
+
+    relay_sizes: tuple[int, ...]
+    columns: dict[str, np.ndarray]
 
     @property
     def sufficient_ok(self) -> bool:
-        return all(e.sufficient_ok for e in self.entries)
+        return bool(self.columns["sufficient_ok"].all())
 
     @property
     def exact_ok(self) -> bool:
-        return all(e.exact_ok for e in self.entries)
+        return bool(self.columns["exact_ok"].all())
+
+    @cached_property
+    def entries(self) -> tuple[NodeFeasibility, ...]:
+        """One record per relay, built on first read."""
+        nodes = [
+            NodeId(layer, i)
+            for layer, size in enumerate(self.relay_sizes, start=1)
+            for i in range(size)
+        ]
+        values = [self.columns[name].tolist() for name in _COLUMNS]
+        return tuple(map(NodeFeasibility, nodes, *values))
 
     def to_dict(self) -> dict:
         verdicts = {"sufficient_ok": self.sufficient_ok, "exact_ok": self.exact_ok}
@@ -168,24 +189,14 @@ class FeasibilityReport:
 def check_feasible(net: LayeredNetwork, gains: GainAssignment) -> FeasibilityReport:
     """Per-relay comparison of the sufficient condition and the exact budget."""
     state = propagate_coefficients(net, gains)
-    entries = []
-    for layer in range(1, net.num_layers):
-        beta = gains.layer_array(net, layer)
-        beta_max = safe_gains(net, layer)
-        exact = state.transmit_powers(layer)
-        budget = net.relay_budgets[layer - 1]
-        sufficient_ok = np.abs(beta) <= beta_max * (1.0 + _PASS_RTOL)
-        exact_ok = exact <= budget * (1.0 + _PASS_RTOL)
-        for i in range(net.layer_sizes[layer]):
-            entries.append(
-                NodeFeasibility(
-                    node=NodeId(layer, i),
-                    beta=float(beta[i]),
-                    beta_max=float(beta_max[i]),
-                    exact_power=float(exact[i]),
-                    budget=float(budget[i]),
-                    sufficient_ok=bool(sufficient_ok[i]),
-                    exact_ok=bool(exact_ok[i]),
-                )
-            )
-    return FeasibilityReport(entries=tuple(entries))
+    relay_layers = range(1, net.num_layers)
+    beta = _column([gains.layer_array(net, layer) for layer in relay_layers])
+    beta_max = _column([safe_gains(net, layer) for layer in relay_layers])
+    exact = _column([state.transmit_powers(layer) for layer in relay_layers])
+    budget = _column(net.relay_budgets)
+    sufficient_ok = np.abs(beta) <= beta_max * (1.0 + _PASS_RTOL)
+    exact_ok = exact <= budget * (1.0 + _PASS_RTOL)
+    columns = dict(zip(_COLUMNS, (beta, beta_max, exact, budget, sufficient_ok, exact_ok)))
+    for column in columns.values():
+        column.flags.writeable = False
+    return FeasibilityReport(relay_sizes=net.layer_sizes[1:-1], columns=columns)

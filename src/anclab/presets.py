@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .network import LayeredNetwork, build_network
-from .power import received_power
+from .power import received_powers
 
 
 def chain_network(
@@ -116,9 +116,7 @@ def rescale_to_delta(
         if m == exceptional_layer - 1:
             factors[m] = 1.0
             continue
-        worst = min(
-            received_power(net, k) for k in net.nodes() if k.layer == m + 1
-        )
+        worst = float(received_powers(net, m + 1).min())
         if worst == 0.0:
             raise ValueError(f"layer {m + 1} contains a node with zero received power")
         factors[m] = target / worst

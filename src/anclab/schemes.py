@@ -17,8 +17,8 @@ import numpy as np
 
 from .coding import destination_rows
 from .gains import GainAssignment
-from .network import LayeredNetwork, NodeId, RegimeSpec
-from .power import _CANCEL_RTOL, received_powers, regime_delta, require_power, safe_gains
+from .network import _CANCEL_RTOL, LayeredNetwork, NodeId, RegimeSpec
+from .power import received_powers, regime_delta, require_power, safe_gains
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ import math
 
 import numpy as np
 
-from anclab import GainAssignment, NodeId, build_network, max_safe_gain
+from anclab import GainAssignment, NodeId, build_network, max_safe_gain, propagate_coefficients
+from anclab.power import _PASS_RTOL, NodeFeasibility, safe_gains
+from anclab.report import as_json, records_csv
 
 
 def random_network(
@@ -93,3 +95,38 @@ def per_node_block_sums(net, beta_layers, seed: int, block: int, size: int):
         np.sum((y_d * x_source) ** 2),
     ]
     return np.array(node).T, np.array(dest)
+
+
+def feasibility_records(net, gains) -> tuple[NodeFeasibility, ...]:
+    """Reference for `check_feasible`: one record per relay, built in a loop."""
+    state = propagate_coefficients(net, gains)
+    entries = []
+    for layer in range(1, net.num_layers):
+        beta = gains.layer_array(net, layer)
+        beta_max = safe_gains(net, layer)
+        exact = state.transmit_powers(layer)
+        budget = net.relay_budgets[layer - 1]
+        sufficient_ok = np.abs(beta) <= beta_max * (1.0 + _PASS_RTOL)
+        exact_ok = exact <= budget * (1.0 + _PASS_RTOL)
+        for i in range(net.layer_sizes[layer]):
+            entries.append(
+                NodeFeasibility(
+                    node=NodeId(layer, i),
+                    beta=float(beta[i]),
+                    beta_max=float(beta_max[i]),
+                    exact_power=float(exact[i]),
+                    budget=float(budget[i]),
+                    sufficient_ok=bool(sufficient_ok[i]),
+                    exact_ok=bool(exact_ok[i]),
+                )
+            )
+    return tuple(entries)
+
+
+def records_outputs(entries) -> tuple[dict, str]:
+    """The to_dict() and to_csv() a feasibility report of these records writes."""
+    verdicts = {
+        "sufficient_ok": all(e.sufficient_ok for e in entries),
+        "exact_ok": all(e.exact_ok for e in entries),
+    }
+    return {"nodes": as_json(entries), **verdicts}, records_csv(NodeFeasibility, entries)

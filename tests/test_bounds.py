@@ -188,6 +188,16 @@ def test_ideal_snr_dominates_true_snr():
                 pass  # no layer-l noise reaches the destination
 
 
+def test_ideal_snr_rejects_cancelled_noise():
+    # Layer-1 node 0's noise reaches the destination through 2 + (-2 + eps):
+    # residue at eps = 1e-13 (it used to give SNR 10000), a real path at 1e-9.
+    gains = GainAssignment.from_layers([[1.0, 0.0], [2.0, 1.0]])
+    for eps in (0.0, 1e-13):
+        with pytest.raises(ValueError, match="no noise from layer 1 reaches the destination"):
+            ideal_snr(near_cancelling_network(eps), gains, 1)
+    assert ideal_snr(near_cancelling_network(1e-9), gains, 1) == 10000.0
+
+
 def test_ideal_snr_scale_invariant_at_last_relay_layer():
     net = asymmetric_three_layer()
     gains, _ = matched_gains(net, RegimeSpec(exceptional_layer=2))

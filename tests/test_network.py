@@ -39,11 +39,18 @@ def test_three_layer_shape_builds():
 def test_unreachable_relay_rejected():
     with pytest.raises(NetworkValidationError, match="unreachable"):
         build_network([1, 2, 1], [[[1.0], [0.0]], [[1.0, 1.0]]], [1.0, 1.0], 1.0)
+    # the first offending node is named
+    message = "^node 1:1 is unreachable: all incoming gains are zero$"
+    with pytest.raises(NetworkValidationError, match=message):
+        build_network([1, 3, 1], [[[1.0], [0.0], [0.0]], [[1.0, 1.0, 1.0]]], [1.0] * 3, 1.0)
 
 
 def test_silent_relay_rejected():
     with pytest.raises(NetworkValidationError, match="silent"):
         build_network([1, 2, 1], [[[1.0], [1.0]], [[1.0, 0.0]]], [1.0, 1.0], 1.0)
+    message = "^node 1:1 is silent: all outgoing gains are zero$"
+    with pytest.raises(NetworkValidationError, match=message):
+        build_network([1, 3, 1], [[[1.0], [1.0], [1.0]], [[1.0, 0.0, 0.0]]], [1.0] * 3, 1.0)
 
 
 def test_shape_mismatch_rejected():

@@ -3,19 +3,27 @@ import math
 import numpy as np
 import pytest
 
+import anclab.network as network_module
 from anclab import (
     GainAssignment,
     NodeId,
     RegimeSpec,
+    bounds_report,
     build_network,
     check_feasible,
     exact_transmit_power,
+    full_power_gains,
+    matched_gains,
     max_safe_gain,
+    network_from_dict,
+    network_to_dict,
     node_delta,
     propagate_coefficients,
     received_power,
     regime_delta,
 )
+from anclab.network import coherent_power
+from anclab.power import received_powers
 from anclab.presets import chain_network, diamond_network
 from conftest import box_limits, random_box_gains, random_network
 
@@ -63,6 +71,52 @@ def test_received_power_ignores_gains():
     # nothing gain-dependent enters; recompute and compare
     again = {k: received_power(net, k) for k in values}
     assert values == again
+
+
+def test_received_powers_cached_read_only_and_fresh():
+    rng = np.random.default_rng(8)
+    for n in range(20):
+        net = random_network(rng, coherent=bool(n % 2))
+        cached = net.received_powers
+        assert net.received_powers is cached and len(cached) == net.num_layers
+        amplitudes = [np.array([math.sqrt(net.source_power)])]
+        amplitudes += [np.sqrt(b) for b in net.relay_budgets]
+        for layer in range(1, net.num_layers + 1):
+            powers = received_powers(net, layer)
+            assert powers is cached[layer - 1] and not powers.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                powers[0] = 1.0
+            fresh = coherent_power(net.gain_matrices[layer - 1], amplitudes[layer - 1])
+            np.testing.assert_array_equal(powers, fresh)
+
+
+def test_analyze_pipeline_evaluates_each_layer_once(monkeypatch):
+    # The network-from-dict -> schemes -> feasibility -> bounds pipeline on a
+    # (6, 16) network evaluates the received-power formula once per layer.
+    rng = np.random.default_rng(6)
+    sizes = [1] + [16] * 5 + [1]
+    data = network_to_dict(
+        build_network(
+            sizes,
+            [rng.uniform(0.1, 2.0, (sizes[l + 1], sizes[l])) for l in range(6)],
+            rng.uniform(0.5, 4.0, 80),
+            float(rng.uniform(0.5, 4.0)),
+        )
+    )
+    layers = []
+
+    def counting(h, amplitudes):
+        layers.append(h.shape)
+        return coherent_power(h, amplitudes)
+
+    monkeypatch.setattr(network_module, "coherent_power", counting)
+    net = network_from_dict(data)
+    full = full_power_gains(net)
+    spec = RegimeSpec(exceptional_layer=3)
+    matched, params = matched_gains(net, spec)
+    assert check_feasible(net, full).exact_ok
+    bounds_report(net, spec, matched, params, scheme="generalized")
+    assert len(layers) == 6 and layers == [m.shape for m in net.gain_matrices]
 
 
 def test_regime_delta_reciprocal_of_min():
@@ -201,3 +255,7 @@ def test_feasibility_report_serialization():
     data = report.to_dict()
     assert data["sufficient_ok"] and data["exact_ok"]
     assert {row["node"] for row in data["nodes"]} == {"1:0", "1:1"}
+    # a single hop has no relays: a header-only table and vacuous verdicts
+    report = check_feasible(chain_network(hops=1), GainAssignment.from_layers([]))
+    assert report.to_csv() == csv.splitlines()[0] + "\n"
+    assert report.to_dict() == {"nodes": [], "sufficient_ok": True, "exact_ok": True}

@@ -1,6 +1,6 @@
 """Property-based checks on generated networks: the coding core, the
-optimizer's layer sweep and its SNR, the rate sandwich, JSON round trips
-and the Monte Carlo block kernel.
+optimizer's layer sweep and its SNR, the rate sandwich, JSON round trips,
+the feasibility report and the Monte Carlo block kernel.
 
 Networks have 2..4 hops and up to 3 nodes per relay layer, so the path
 oracle stays cheap.  Runs are derandomized, so every run checks the same
@@ -8,6 +8,7 @@ examples and a failure reproduces.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from anclab import (
     RegimeSpec,
     anc_rate,
     build_network,
+    check_feasible,
     destination_snr,
     gains_from_dict,
     gains_to_dict,
@@ -35,7 +37,7 @@ from anclab.coding import destination_rows, forward_hop
 from anclab.montecarlo import _block_sums
 from anclab.optimize import _ascend, _best_gain, _sweep_layer
 from anclab.power import safe_gains
-from conftest import per_node_block_sums
+from conftest import feasibility_records, per_node_block_sums, records_outputs
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -163,6 +165,22 @@ def test_json_round_trip(case):
     back_gains = gains_from_dict(back, json.loads(json.dumps(gains_to_dict(net, gains))))
     for got, want in zip(back_gains.layers, gains.layers):
         assert np.array_equal(got, want)
+
+
+@PROPERTY_SETTINGS
+@given(networks_with_gains(signed=True))
+def test_feasibility_report_matches_record_loop(case):
+    # Signed gains can cancel a relay's received power: then both raise the same error.
+    net, gains = case
+    try:
+        expected_dict, expected_csv = records_outputs(feasibility_records(net, gains))
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            check_feasible(net, gains)
+        return
+    report = check_feasible(net, gains)
+    assert json.dumps(report.to_dict()) == json.dumps(expected_dict)  # types and key order too
+    assert report.to_csv() == expected_csv
 
 
 def _destination_coefficients(net, betas):
