@@ -15,14 +15,15 @@ from anclab import (
     network_to_dict,
     received_power,
 )
-from anclab.network import neighbors_in
 from anclab.presets import asymmetric_three_layer, diamond_network
 
 # --- a minimal diamond: source, two parallel relays, destination -----------
 net = diamond_network()
 print("diamond layers:", net.layer_sizes)
 print("relays:", [str(k) for k in net.relays()])
-print("in-neighbors of the destination:", [str(j) for j in neighbors_in(net, net.destination)])
+last_hop = net.gain_matrices[-1][0]  # destination row: gains from the last relay layer
+in_neighbors = [str(NodeId(net.num_layers - 1, int(j))) for j in np.flatnonzero(last_hop)]
+print("in-neighbors of the destination:", in_neighbors)
 
 # received power with every in-neighbor at full budget
 for k in net.nodes():

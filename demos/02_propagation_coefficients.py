@@ -1,16 +1,15 @@
 """Signal and noise propagation coefficients.
 
 Every reception is a linear combination of the source symbol and all noises
-injected upstream.  The layered sweep computes every coefficient in one pass
-per origin; brute-force path enumeration recomputes any one of them as an
-independent cross-check.
+injected upstream.  The layered sweep computes every coefficient as
+per-layer arrays, one forward and one backward pass; brute-force path
+enumeration recomputes any one of them as an independent cross-check.
 """
 
 import numpy as np
 
 from anclab import (
     GainAssignment,
-    NodeId,
     build_network,
     count_paths,
     enumerate_paths,
@@ -29,18 +28,21 @@ gains = GainAssignment.from_layers([rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0,
 
 state = propagate_coefficients(net, gains)
 d = net.destination
-print(f"signal coefficient at the destination: {state.f_source(d):+.6f}")
+print(f"signal coefficient at the destination: {state.source[-1][0]:+.6f}")
 for origin in net.relays():
-    print(f"  noise from {origin} arrives scaled by {state.f_noise(origin, d):+.6f}")
+    o, i = origin.layer, origin.index
+    scale = state.betas[o][i] * state.rows[o][i]
+    print(f"  noise from {origin} arrives scaled by {scale:+.6f}")
 
 # the destination's second moment decomposes into signal + noise + own noise
-m2 = state.received_second_moment(d)
+f = state.source[-1][0]
+m2 = f * f * net.source_power + state.noise[-1][0]
 print(f"destination second moment: {m2:.6f}")
 
 # --- cross-check one coefficient by explicit path enumeration ---------------
 print("paths source -> destination:", count_paths(net, net.source, d))
 for path in enumerate_paths(net, net.source, d)[:3]:
     print("  path:", " -> ".join(str(p) for p in path))
-dp = state.f_source(d)
+dp = state.source[-1][0]
 oracle = path_coefficient(net, gains, net.source, d)
 print(f"sweep {dp:.12f} vs enumeration {oracle:.12f} (difference {abs(dp - oracle):.2e})")

@@ -8,6 +8,7 @@ lower and upper bounds.
 """
 
 from anclab import (
+    NodeId,
     RegimeSpec,
     anc_rate,
     bounds_report,
@@ -27,8 +28,10 @@ print(f"regime margin delta = {regime_delta(net, spec):.4g}")
 matched, params = matched_gains(net, spec)
 full = full_power_gains(net)
 print(f"matched-combiner constant c1 = {params.c1:.4f}")
-for k, gamma in params.gamma.items():
-    print(f"  {k}: beta={matched.get(net, k):+.4f}  end-to-end weight gamma={gamma:.4f}")
+l = spec.exceptional_layer
+for i, gamma in enumerate(params.gamma):
+    beta = matched.layers[l - 1][i]
+    print(f"  {NodeId(l, i)}: beta={beta:+.4f}  end-to-end weight gamma={gamma:.4f}")
 
 report = bounds_report(net, spec, matched, params, scheme="generalized")
 print("\nrates in bits per channel use:")

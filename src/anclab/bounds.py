@@ -37,9 +37,8 @@ def destination_snr(
     """Exact SNR at the destination: signal power over propagated plus local noise."""
     if state is None:
         state = propagate_coefficients(net, gains)
-    d = net.destination
-    f = state.f_source(d)
-    return f * f * net.source_power / state.noise_second_moment(d)
+    f = float(state.source[-1][0])
+    return f * f * net.source_power / float(state.noise[-1][0])
 
 
 def ideal_snr(net: LayeredNetwork, gains: GainAssignment, noisy_layer: int) -> float:
@@ -54,7 +53,7 @@ def ideal_snr(net: LayeredNetwork, gains: GainAssignment, noisy_layer: int) -> f
     if not 1 <= noisy_layer <= net.num_layers - 1:
         raise ValueError(f"noisy layer must lie in 1..{net.num_layers - 1}, got {noisy_layer}")
     state = propagate_coefficients(net, gains)
-    f = state.f_source(net.destination)
+    f = float(state.source[-1][0])
     beta = state.betas[noisy_layer]
     noise = beta * state.rows[noisy_layer]
     abs_rows = destination_rows(net, [*map(np.abs, state.betas)], [*map(np.abs, net.gain_matrices)])

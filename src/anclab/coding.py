@@ -11,9 +11,11 @@ runs one forward sweep (forward_hop) that carries the source vector
 s_{l+1} = A_l s_l and the transfer matrix from every upstream relay noise
 to layer l+1, whose squared row sums give the propagated noise power, plus
 one backward sweep for the destination rows r_l (the coefficient from a
-layer-l transmission to the destination).  path_coefficient recomputes one
-coefficient by brute-force path enumeration, does not use these arrays,
-and exists as an independent cross-check.
+layer-l transmission to the destination).  These per-layer arrays are the
+interface: callers index them by layer and node, and no per-node accessor
+re-derives an entry.  path_coefficient is the one oracle: it recomputes a
+single coefficient by brute-force path enumeration from the hop matrices
+and gain layers, without the sweep.
 """
 
 from __future__ import annotations
@@ -37,13 +39,17 @@ MAX_ENUMERATED_PATHS = 10**6
 class CodingState:
     """Propagation quantities of a network under one gain assignment.
 
-    Every field is a tuple indexed by layer:
+    The array fields are the interface, each a tuple indexed by layer and
+    then by node index:
       betas[l]   amplification of layers 0..L-1 (the source's is 1);
       source[l]  coefficient of the source symbol at layer l, l = 0..L;
       noise[l]   propagated-plus-local noise power at layer l, unit noise
                  variances (0 at the source, which receives nothing);
       rows[l]    coefficient from a layer-l transmission to the destination,
                  the node's own gain excluded, l = 0..L-1.
+    So the destination's signal coefficient is source[-1][0], its noise
+    power noise[-1][0], and a relay (l, i)'s noise reaches the destination
+    scaled by betas[l][i] * rows[l][i].  path_coefficient checks them.
     """
 
     net: LayeredNetwork
@@ -52,48 +58,13 @@ class CodingState:
     noise: tuple[np.ndarray, ...]
     rows: tuple[np.ndarray, ...]
 
-    def f_source(self, k: NodeId) -> float:
-        return float(self.source[k.layer][k.index])
-
-    def f_noise(self, origin: NodeId, k: NodeId) -> float:
-        """Coefficient of relay origin's local noise at k: 1 at k == origin,
-        0 unless k is strictly downstream of a relay origin."""
-        if origin == k:
-            return 1.0
-        if not 0 < origin.layer < k.layer:
-            return 0.0
-        if k.layer == self.net.num_layers:
-            o, i = origin.layer, origin.index
-            return float(self.betas[o][i] * self.rows[o][i])
-        current = np.zeros(self.net.layer_sizes[origin.layer])
-        current[origin.index] = 1.0
-        for layer in range(origin.layer, k.layer):
-            current = self.net.gain_matrices[layer] @ (current * self.betas[layer])
-        return float(current[k.index])
-
-    def noise_second_moment(self, k: NodeId) -> float:
-        """Total propagated-plus-local noise power at k (unit variances)."""
-        if k.layer == 0:
-            raise ValueError("the source receives nothing")
-        return float(self.noise[k.layer][k.index])
-
-    def received_second_moments(self, layer: int) -> np.ndarray:
-        """Second moment of every reception of a layer: signal plus noise power."""
-        s = self.source[layer]
-        return s * s * self.net.source_power + self.noise[layer]
-
-    def received_second_moment(self, k: NodeId) -> float:
-        """Second moment of the reception at k: signal power plus noise power."""
-        if k.layer == 0:
-            raise ValueError("the source receives nothing")
-        return float(self.received_second_moments(k.layer)[k.index])
-
     def transmit_powers(self, layer: int) -> np.ndarray:
-        """True second moment beta^2 E[reception^2] of every relay of a layer."""
+        """True second moment beta^2 E[y^2] of every relay of a layer, where
+        E[y^2] = s^2 P + noise is the reception's signal plus noise power."""
         if not 1 <= layer <= self.net.num_layers - 1:
             raise ValueError(f"layer {layer} holds no relays")
-        beta = self.betas[layer]
-        return beta * beta * self.received_second_moments(layer)
+        s, beta = self.source[layer], self.betas[layer]
+        return beta * beta * (s * s * self.net.source_power + self.noise[layer])
 
 
 def destination_rows(net: LayeredNetwork, betas, matrices=None) -> list[np.ndarray]:
@@ -191,15 +162,18 @@ def path_coefficient(
     """Coefficient from origin to target by explicit path enumeration.
 
     Sums, over every path, the product of beta * h along the hops, starting
-    with the origin's own amplification.  Independent of the layered sweep;
-    guarded against combinatorial blow-up.
+    with the origin's own amplification.  Reads the hop matrices and gain
+    layers itself, independent of the layered sweep; guarded against
+    combinatorial blow-up.
     """
     if target == origin:
         return 1.0
+    betas = [np.ones(1)] + [gains.layer_array(net, l) for l in range(1, net.num_layers)]
     total = 0.0
     for path in enumerate_paths(net, origin, target):
         product = 1.0
         for a, b in zip(path, path[1:]):
-            product *= gains.get(net, a) * net.gain(a, b)
+            h = net.gain_matrices[a.layer][b.index, a.index]
+            product *= float(betas[a.layer][a.index] * h)
         total += product
     return total

@@ -2,7 +2,8 @@
 
 A gain assignment gives every relay node the scalar it applies to its
 reception before retransmitting.  The source's gain is fixed at 1 and the
-destination never transmits, so neither appears here.
+destination never transmits, so neither appears here.  In JSON the gains
+are keyed by each relay's "layer:index" text, and every relay is named once.
 """
 
 from __future__ import annotations
@@ -31,19 +32,6 @@ class GainAssignment:
     def from_layers(cls, values: list[list[float]] | list[np.ndarray]) -> "GainAssignment":
         return cls(tuple(np.array(layer, dtype=np.float64) for layer in values))
 
-    @classmethod
-    def from_dict(cls, net: LayeredNetwork, beta: dict[NodeId, float]) -> "GainAssignment":
-        layers = [np.zeros(net.layer_sizes[l]) for l in range(1, net.num_layers)]
-        seen = 0
-        for node, value in beta.items():
-            if not 1 <= node.layer <= net.num_layers - 1:
-                raise ValueError(f"{node} is not a relay node")
-            layers[node.layer - 1][node.index] = value
-            seen += 1
-        if seen != sum(net.layer_sizes[1:-1]):
-            raise ValueError("gain assignment must cover every relay node exactly once")
-        return cls.from_layers(layers)
-
     def layer_array(self, net: LayeredNetwork, layer: int) -> np.ndarray:
         if not 1 <= layer <= net.num_layers - 1:
             raise ValueError(f"layer {layer} holds no relays")
@@ -55,32 +43,41 @@ class GainAssignment:
             )
         return arr
 
-    def get(self, net: LayeredNetwork, k: NodeId) -> float:
-        """Amplification gain of node k; the source reports its fixed gain 1."""
-        if k.layer == 0:
-            return 1.0
-        if k.layer == net.num_layers:
-            raise ValueError("destination has no amplification gain")
-        return float(self.layer_array(net, k.layer)[k.index])
-
-    def scaled_layer(self, layer: int, factor: float) -> "GainAssignment":
-        """Copy with every gain of one relay layer multiplied by factor."""
-        arrays = [arr.copy() for arr in self.layers]
-        arrays[layer - 1] *= factor
-        return GainAssignment.from_layers(arrays)
-
 
 def gains_to_dict(net: LayeredNetwork, gains: GainAssignment) -> dict:
-    return {"beta": {str(k): gains.get(net, k) for k in net.relays()}}
+    layers = [gains.layer_array(net, layer) for layer in range(1, net.num_layers)]
+    return {"beta": {str(k): float(layers[k.layer - 1][k.index]) for k in net.relays()}}
 
 
 def gains_from_dict(net: LayeredNetwork, data: dict) -> GainAssignment:
+    """Gain layers from {"beta": {"layer:index": value}} naming every relay once."""
     # "snr" and "rate" let optimizer reports replay directly as gain files.
+    if not isinstance(data, dict):
+        raise ValueError("a gain assignment must be a JSON object")
     unknown = set(data) - {"beta", "snr", "rate"}
     if unknown:
         raise ValueError(f"unknown gain-assignment fields: {sorted(unknown)}")
-    beta = {NodeId.parse(key): float(value) for key, value in data["beta"].items()}
-    return GainAssignment.from_dict(net, beta)
+    beta = data.get("beta")
+    if not isinstance(beta, dict):
+        raise ValueError('"beta" must map "layer:index" keys to gains')
+    layers = [np.zeros(size) for size in net.layer_sizes[1:-1]]
+    named: set[NodeId] = set()
+    for key, value in beta.items():
+        try:
+            node = NodeId.parse(str(key))
+        except ValueError:
+            raise ValueError(f"gain key {key!r} is not of the form layer:index") from None
+        relay_layer = 1 <= node.layer < net.num_layers
+        if not (relay_layer and 0 <= node.index < net.layer_sizes[node.layer]):
+            raise ValueError(f"gain key {key!r} names no relay node")
+        if node in named:
+            raise ValueError(f"gain key {key!r} names relay {node} a second time")
+        named.add(node)
+        layers[node.layer - 1][node.index] = float(value)
+    missing = [node for node in net.relays() if node not in named]
+    if missing:
+        raise ValueError(f"gain assignment must cover every relay node; {missing[0]} is missing")
+    return GainAssignment.from_layers(layers)
 
 
 def save_gains(net: LayeredNetwork, gains: GainAssignment, path: str) -> None:

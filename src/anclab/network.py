@@ -104,12 +104,6 @@ class LayeredNetwork:
             for index in range(self.layer_sizes[layer]):
                 yield NodeId(layer, index)
 
-    def gain(self, j: NodeId, k: NodeId) -> float:
-        """Channel gain from node j to node k (adjacent layers only)."""
-        if k.layer != j.layer + 1:
-            raise ValueError(f"no channel between {j} and {k}: layers not adjacent")
-        return float(self.gain_matrices[j.layer][k.index, j.index])
-
     def budget(self, k: NodeId) -> float:
         """Power budget of a transmitting node; the source budget is its power."""
         if k.layer == 0:
@@ -224,17 +218,6 @@ def build_network(
         relay_budgets=tuple(relay_budgets),
         source_power=float(source_power),
     )
-
-
-def neighbors_in(net: LayeredNetwork, k: NodeId) -> list[NodeId]:
-    """Previous-layer nodes with a nonzero gain into k.
-
-    The source has no in-neighbors and is rejected.
-    """
-    if k.layer == 0:
-        raise ValueError("the source node has no in-neighbors")
-    row = net.gain_matrices[k.layer - 1][k.index]
-    return [NodeId(k.layer - 1, int(j)) for j in np.flatnonzero(row != 0.0)]
 
 
 @dataclass(frozen=True)

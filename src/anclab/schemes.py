@@ -25,13 +25,13 @@ from .power import received_powers, regime_delta, require_power, safe_gains
 class SchemeParams:
     """Matched-combiner quantities for the exceptional layer.
 
-    gamma maps each layer node to beta * g, its gain times its compound
+    gamma[i] is beta * g of the layer's node i, its gain times its compound
     downstream coefficient toward the destination: the per-node end-to-end
     scale, equal to c1 * sqrt(received power) > 0.
     """
 
     c1: float
-    gamma: dict[NodeId, float]
+    gamma: np.ndarray
 
 
 def full_power_gains(net: LayeredNetwork) -> GainAssignment:
@@ -41,21 +41,18 @@ def full_power_gains(net: LayeredNetwork) -> GainAssignment:
     )
 
 
-def downstream_gains(
-    net: LayeredNetwork, gains: GainAssignment, layer: int
-) -> dict[NodeId, float]:
+def downstream_gains(net: LayeredNetwork, gains: GainAssignment, layer: int) -> np.ndarray:
     """Compound coefficient from each layer node's transmission to the destination.
 
-    The destination row r_layer of the coding state: hop matrices multiplied
-    with the already-assigned gains of layers layer+1..L-1.  The nodes' own
-    gains are excluded, so g_j * beta_j equals the propagated noise
-    coefficient from j to the destination.
+    The destination row r_layer of the coding state, entry j for node j:
+    hop matrices multiplied with the already-assigned gains of layers
+    layer+1..L-1.  The nodes' own gains are excluded, so g_j * beta_j
+    equals the propagated noise coefficient from j to the destination.
     """
     if not 1 <= layer <= net.num_layers - 1:
         raise ValueError(f"layer must lie in 1..{net.num_layers - 1}, got {layer}")
     betas = [None] + [gains.layer_array(net, m) for m in range(1, net.num_layers)]
-    row = destination_rows(net, betas)[layer]
-    return {NodeId(layer, i): float(g) for i, g in enumerate(row)}
+    return destination_rows(net, betas)[layer]
 
 
 def matched_gains(
@@ -95,7 +92,4 @@ def matched_gains(
     require_power(l, p_r, "scheme undefined")
     c1 = float(np.min(np.abs(g) / p_r * np.sqrt(net.relay_budgets[l - 1] / (1.0 + 1.0 / p_r))))
     layers[l - 1] = c1 * np.sqrt(p_r) / g
-    assignment = GainAssignment.from_layers(layers)
-
-    gamma = {NodeId(l, i): float(v) for i, v in enumerate(layers[l - 1] * g)}
-    return assignment, SchemeParams(c1=c1, gamma=gamma)
+    return GainAssignment.from_layers(layers), SchemeParams(c1=c1, gamma=layers[l - 1] * g)

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from anclab import GainAssignment, NodeId, build_network, max_safe_gain, propagate_coefficients
+from anclab.coding import forward_hop
 from anclab.power import _PASS_RTOL, NodeFeasibility, safe_gains
 from anclab.report import as_json, records_csv
 
@@ -68,6 +69,30 @@ def random_box_gains(
             fractions *= rng.choice([-1.0, 1.0], size=limits.shape)
         layers.append(fractions * limits)
     return GainAssignment.from_layers(layers)
+
+
+def swept_coefficients(net, gains) -> dict:
+    """Every coefficient production computes, keyed (origin, target) for each
+    target downstream of the source or of a relay: state.source[l] from the
+    source, betas[o] * rows[o] from a relay to the destination, and the
+    columns of the transfer matrix that forward_hop carries from a relay to
+    a later relay."""
+    state = propagate_coefficients(net, gains)
+    coefficients = {}
+    for layer in range(1, net.num_layers + 1):
+        for k, value in enumerate(state.source[layer]):
+            coefficients[net.source, NodeId(layer, k)] = value
+    relays = list(net.relays())  # layer-major, the transfer matrix's column order
+    for origin in relays:
+        o, i = origin.layer, origin.index
+        coefficients[origin, net.destination] = state.betas[o][i] * state.rows[o][i]
+    source, transfer = state.source[0], np.zeros((1, 0))
+    for layer in range(net.num_layers - 1):  # targets: relay layers 1..L-1
+        source, transfer = forward_hop(net, state.betas, layer, source, transfer)
+        for column, origin in enumerate(relays[: transfer.shape[1]]):
+            for k, value in enumerate(transfer[:, column]):
+                coefficients[origin, NodeId(layer + 1, k)] = value
+    return coefficients
 
 
 def per_node_block_sums(net, beta_layers, seed: int, block: int, size: int):

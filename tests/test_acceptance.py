@@ -44,7 +44,7 @@ from anclab.presets import (
     rescale_to_delta,
     wide_bottleneck_network,
 )
-from conftest import box_limits, random_box_gains, random_network
+from conftest import box_limits, random_box_gains, random_network, swept_coefficients
 
 
 def _verdict(criterion: str, detail: str) -> None:
@@ -97,12 +97,12 @@ def test_c02_coefficient_oracle_equivalence():
         gains = GainAssignment.from_layers(
             [rng.uniform(-1.5, 1.5, net.layer_sizes[l]) for l in range(1, net.num_layers)]
         )
-        state = propagate_coefficients(net, gains)
+        swept = swept_coefficients(net, gains)
         for origin in [net.source] + list(net.relays()):
             for k in net.nodes():
                 if k.layer <= origin.layer:
                     continue
-                dp = state.f_source(k) if origin == net.source else state.f_noise(origin, k)
+                dp = swept[origin, k]
                 oracle = path_coefficient(net, gains, origin, k)
                 err = abs(dp - oracle) / max(1.0, abs(oracle))
                 worst = max(worst, err)

@@ -202,7 +202,8 @@ def test_ideal_snr_scale_invariant_at_last_relay_layer():
     net = asymmetric_three_layer()
     gains, _ = matched_gains(net, RegimeSpec(exceptional_layer=2))
     base = ideal_snr(net, gains, 2)
-    scaled = ideal_snr(net, gains.scaled_layer(2, 2.0), 2)
+    doubled = GainAssignment.from_layers([gains.layers[0], 2.0 * gains.layers[1]])
+    scaled = ideal_snr(net, doubled, 2)
     assert scaled == pytest.approx(base, rel=1e-12)
 
 

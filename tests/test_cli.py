@@ -362,3 +362,23 @@ def test_abbreviated_option_is_a_usage_error(three_layer_file, grid, capsys):
     err = capsys.readouterr().err
     assert sum(line.startswith("error:") for line in err.splitlines()) == 1
     assert "expected one argument" not in err
+
+
+@pytest.mark.parametrize(
+    "beta",
+    [
+        {"1:1": 0.5, "1:-1": 0.25},
+        {"1:0": 0.5, "1:7": 0.25},
+        {"1:0": 0.5, "01:0": 0.25, "1:1": 0.25},
+        [0.5, 0.25],
+    ],
+    ids=["negative-index", "index-past-layer", "relay-named-twice", "list"],
+)
+def test_bad_gain_file_is_one_error_line(beta, tmp_path, capsys):
+    gains_file = tmp_path / "g.json"
+    gains_file.write_text(json.dumps({"beta": beta}))
+    argv = ["simulate", "--network", str(CONFIGS / "diamond.json"), "--gains", str(gains_file)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot load gains") and len(err.splitlines()) == 1
+    assert "Traceback" not in err

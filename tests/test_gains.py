@@ -1,10 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from anclab import GainAssignment, NodeId, gains_from_dict, gains_to_dict
-from anclab.presets import asymmetric_three_layer
+from anclab import GainAssignment, gains_from_dict, gains_to_dict, propagate_coefficients
+from anclab.presets import asymmetric_three_layer, diamond_network
 from conftest import random_box_gains, random_network
 
 
@@ -15,22 +16,40 @@ def test_round_trip_exact():
         gains = random_box_gains(rng, net, signed=True)
         data = json.loads(json.dumps(gains_to_dict(net, gains)))
         back = gains_from_dict(net, data)
-        for k in net.relays():
-            assert back.get(net, k) == gains.get(net, k)
+        for got, want in zip(back.layers, gains.layers, strict=True):
+            assert np.array_equal(got, want)
 
 
 def test_source_gain_fixed_at_one():
     net = asymmetric_three_layer()
     gains = GainAssignment.from_layers([[0.1, 0.2], [0.3, 0.4]])
-    assert gains.get(net, net.source) == 1.0
+    assert list(propagate_coefficients(net, gains).betas[0]) == [1.0]
     with pytest.raises(ValueError):
-        gains.get(net, net.destination)
+        gains.layer_array(net, net.num_layers)
 
 
 def test_incomplete_assignment_rejected():
     net = asymmetric_three_layer()
     with pytest.raises(ValueError, match="every relay"):
-        GainAssignment.from_dict(net, {NodeId(1, 0): 0.5})
+        gains_from_dict(net, {"beta": {"1:0": 0.5}})
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"beta": {"1:1": 0.5, "1:-1": 0.25}}, "'1:-1' names no relay node"),
+        ({"beta": {"1:0": 0.5, "1:7": 0.25}}, "'1:7' names no relay node"),
+        ({"beta": {"0:0": 0.5, "1:0": 0.5, "1:1": 0.25}}, "'0:0' names no relay node"),
+        ({"beta": {"2:0": 0.5, "1:0": 0.5, "1:1": 0.25}}, "'2:0' names no relay node"),
+        ({"beta": {"1:0": 0.5, "01:0": 0.25, "1:1": 0.25}}, "'01:0' names relay 1:0 a second time"),
+        ({"beta": {"1:0": 0.5, "1": 0.25}}, "'1' is not of the form layer:index"),
+        ({"beta": [0.5, 0.25]}, '"beta" must map'),
+        ([0.5, 0.25], "must be a JSON object"),
+    ],
+)
+def test_bad_gain_data_rejected(data, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        gains_from_dict(diamond_network(), data)
 
 
 def test_non_finite_gain_rejected():
@@ -51,4 +70,4 @@ def test_optimizer_report_fields_accepted():
     data["snr"] = 1.0
     data["rate"] = 0.5
     back = gains_from_dict(net, data)
-    assert back.get(net, NodeId(2, 1)) == 0.4
+    assert back.layers[1][1] == 0.4

@@ -22,7 +22,7 @@ def test_single_relay_chain_optimum_at_box_edge():
     net = chain_network(hops=2)
     gains, snr = optimize_gains(net, OptimizerConfig(restarts=2, seed=0))
     b_max = max_safe_gain(net, NodeId(1, 0))
-    assert abs(gains.get(net, NodeId(1, 0))) == pytest.approx(b_max, rel=1e-12)
+    assert abs(gains.layers[0][0]) == pytest.approx(b_max, rel=1e-12)
     assert snr == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
@@ -48,7 +48,7 @@ def test_iterates_stay_in_boxes():
         net = random_network(rng, max_layers=4, max_width=3)
         gains, _ = optimize_gains(net, OptimizerConfig(restarts=2, seed=2))
         for k in net.relays():
-            assert abs(gains.get(net, k)) <= max_safe_gain(net, k) * (1 + 1e-12)
+            assert abs(gains.layers[k.layer - 1][k.index]) <= max_safe_gain(net, k) * (1 + 1e-12)
 
 
 def test_deterministic_for_fixed_seed():

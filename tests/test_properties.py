@@ -37,7 +37,7 @@ from anclab.coding import destination_rows, forward_hop
 from anclab.montecarlo import _block_sums
 from anclab.optimize import _ascend, _best_gain, _sweep_layer
 from anclab.power import safe_gains
-from conftest import feasibility_records, per_node_block_sums, records_outputs
+from conftest import feasibility_records, per_node_block_sums, records_outputs, swept_coefficients
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -94,13 +94,13 @@ def _relabel(net, matrices, budgets, gain_layers):
 @given(networks_with_gains(signed=True))
 def test_coefficients_match_path_oracle(case):
     net, gains = case
-    state = propagate_coefficients(net, gains)
+    swept = swept_coefficients(net, gains)
     abs_net, abs_gains = _absolute(net, gains)
     for origin in [net.source] + list(net.relays()):
         for k in net.nodes():
             if k.layer <= origin.layer:
                 continue
-            got = state.f_source(k) if origin == net.source else state.f_noise(origin, k)
+            got = swept[origin, k]
             oracle = path_coefficient(net, gains, origin, k)
             scale = path_coefficient(abs_net, abs_gains, origin, k)
             assert abs(got - oracle) <= 1e-12 * max(1.0, scale), (origin, k, got, oracle)

@@ -13,7 +13,7 @@ from anclab import (
     full_power_gains,
     matched_gains,
     max_safe_gain,
-    propagate_coefficients,
+    path_coefficient,
     received_power,
     regime_delta,
 )
@@ -24,13 +24,13 @@ from conftest import near_cancelling_network, random_network
 def test_full_power_is_per_node_maximum():
     net = chain_network(hops=2)
     gains = full_power_gains(net)
-    assert gains.get(net, NodeId(1, 0)) == pytest.approx(1.0 / math.sqrt(2.0))
+    assert gains.layers[0][0] == pytest.approx(1.0 / math.sqrt(2.0))
     rng = np.random.default_rng(4)
     for _ in range(10):
         net = random_network(rng, coherent=True)
         gains = full_power_gains(net)
         for k in net.relays():
-            assert gains.get(net, k) == max_safe_gain(net, k)
+            assert gains.layers[k.layer - 1][k.index] == max_safe_gain(net, k)
 
 
 def test_full_power_passes_sufficient_with_equality():
@@ -48,8 +48,7 @@ def test_downstream_gains_last_layer_is_final_hop():
     gains = full_power_gains(net)
     g = downstream_gains(net, gains, net.num_layers - 1)
     final = net.gain_matrices[-1]
-    for i in range(net.layer_sizes[net.num_layers - 1]):
-        assert g[NodeId(net.num_layers - 1, i)] == final[0, i]
+    assert np.array_equal(g, final[0])
 
 
 def test_downstream_gains_hand_expansion():
@@ -64,8 +63,7 @@ def test_downstream_gains_hand_expansion():
     b = 0.3
     gains = GainAssignment.from_layers([[0.0, 0.0], [b, b]])
     g = downstream_gains(net, gains, 1)
-    assert g[NodeId(1, 0)] == pytest.approx(2.0 * b)
-    assert g[NodeId(1, 1)] == pytest.approx(2.0 * b)
+    assert g == pytest.approx([2.0 * b, 2.0 * b])
 
 
 def test_downstream_gains_match_propagated_noise_coefficients():
@@ -75,21 +73,18 @@ def test_downstream_gains_match_propagated_noise_coefficients():
         gains = GainAssignment.from_layers(
             [rng.uniform(0.2, 1.0, net.layer_sizes[l]) for l in range(1, net.num_layers)]
         )
-        state = propagate_coefficients(net, gains)
-        d = net.destination
         for layer in range(1, net.num_layers):
             g = downstream_gains(net, gains, layer)
-            for k, g_k in g.items():
-                beta = gains.get(net, k)
-                expected = state.f_noise(k, d)
-                assert abs(g_k * beta - expected) <= 1e-12 * max(1.0, abs(expected))
+            for j, beta in enumerate(gains.layers[layer - 1]):
+                expected = path_coefficient(net, gains, NodeId(layer, j), net.destination)
+                assert abs(g[j] * beta - expected) <= 1e-12 * max(1.0, abs(expected))
 
 
 def test_matched_gains_symmetric_layer_hits_box():
     net = wide_bottleneck_network(4)
     spec = RegimeSpec(exceptional_layer=2)
     gains, params = matched_gains(net, spec)
-    betas = [gains.get(net, NodeId(2, i)) for i in range(4)]
+    betas = list(gains.layers[1])
     assert max(betas) - min(betas) <= 1e-12 * max(betas)
     for i in range(4):
         assert betas[i] == pytest.approx(max_safe_gain(net, NodeId(2, i)), rel=1e-12)
@@ -102,7 +97,7 @@ def test_matched_gains_feasible_on_random_instances():
         l = int(rng.integers(1, net.num_layers))
         gains, params = matched_gains(net, RegimeSpec(exceptional_layer=l))
         for k in net.relays():
-            assert abs(gains.get(net, k)) <= max_safe_gain(net, k) + 1e-12
+            assert abs(gains.layers[k.layer - 1][k.index]) <= max_safe_gain(net, k) + 1e-12
         assert check_feasible(net, gains).sufficient_ok
 
 
@@ -112,8 +107,8 @@ def test_matched_combining_is_positive_and_equalized():
         net = random_network(rng, coherent=True)
         l = int(rng.integers(1, net.num_layers))
         gains, params = matched_gains(net, RegimeSpec(exceptional_layer=l))
-        for k, gamma in params.gamma.items():
-            expected = params.c1 * math.sqrt(received_power(net, k))
+        for i, gamma in enumerate(params.gamma):
+            expected = params.c1 * math.sqrt(received_power(net, NodeId(l, i)))
             assert gamma > 0
             assert abs(gamma - expected) <= 1e-12 * expected
 
@@ -129,8 +124,8 @@ def test_matched_combining_positive_with_signed_downstream():
     )
     spec = RegimeSpec(exceptional_layer=2)
     gains, params = matched_gains(net, spec)
-    assert gains.get(net, NodeId(2, 1)) < 0
-    assert all(v > 0 for v in params.gamma.values())
+    assert gains.layers[1][1] < 0
+    assert all(params.gamma > 0)
 
 
 def test_matched_degenerates_to_full_power_at_last_layer():
@@ -145,8 +140,8 @@ def test_matched_degenerates_to_full_power_at_last_layer():
     gains, params = matched_gains(net, RegimeSpec(exceptional_layer=net.num_layers))
     assert params is None
     full = full_power_gains(net)
-    for k in net.relays():
-        assert gains.get(net, k) == full.get(net, k)
+    for got, want in zip(gains.layers, full.layers):
+        assert np.array_equal(got, want)
 
 
 def test_matched_uniform_margin_never_exceeds_per_node():
@@ -157,8 +152,8 @@ def test_matched_uniform_margin_never_exceeds_per_node():
         gains, params = matched_gains(net, spec)
         assert params is None
         full = full_power_gains(net)
-        for k in net.relays():
-            assert gains.get(net, k) <= full.get(net, k) + 1e-15
+        for got, want in zip(gains.layers, full.layers):
+            assert np.all(got <= want + 1e-15)
 
 
 def test_matched_rejects_invisible_node():
