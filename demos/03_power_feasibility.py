@@ -21,7 +21,7 @@ net = asymmetric_three_layer()
 boxes = {k: max_safe_gain(net, k) for k in net.relays()}
 print("per-node safe gain limits:")
 for k, b in boxes.items():
-    print(f"  {k}: |beta| <= {b:.4f}  (budget {net.budget(k):g})")
+    print(f"  {k}: |beta| <= {b:.4f}  (budget {net.relay_budgets[k.layer - 1][k.index]:g})")
 
 gains = GainAssignment.from_layers(
     [[boxes[NodeId(1, 0)], boxes[NodeId(1, 1)]], [boxes[NodeId(2, 0)], boxes[NodeId(2, 1)]]]
@@ -51,6 +51,6 @@ edge = GainAssignment.from_layers(
 k = NodeId(2, 0)
 print(
     f"anti-correlated inputs at {k}: exact power "
-    f"{exact_transmit_power(cancel, edge, k):.3f} despite budget {cancel.budget(k):g} "
+    f"{exact_transmit_power(cancel, edge, k):.3f} despite budget {cancel.relay_budgets[1][0]:g} "
     "(the box rule presumes coherent combining)"
 )

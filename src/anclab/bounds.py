@@ -7,6 +7,12 @@ the matched scheme.  Both are functions of the exceptional layer's received
 powers and the regime margin.  With nonnegative channel gains a valid
 instance sandwiches its achieved rate between them; signed gains can lift
 the lower bound above it (tests/test_bounds.py keeps a counterexample).
+
+When the bounds coincide: to first order, upper - lower is about
+((l - 1) * delta * s + c2 / (c1**2 * s)) / (2 ln 2) for exceptional layer l,
+with s its summed received power and delta the regime margin; for l = 2 that
+is (delta * s + c2 / (c1**2 * s)) / (2 ln 2).  So a growing s closes the gap
+only while delta * s -> 0; at a fixed margin the gap has a minimum in s.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import numpy as np
 from .coding import CodingState, destination_rows, propagate_coefficients
 from .gains import GainAssignment
 from .network import _CANCEL_RTOL, LayeredNetwork, RegimeSpec
-from .power import received_power, received_powers, regime_delta
+from .power import power_margin, received_power, received_powers, regime_delta
 from .report import as_json, records_csv
 from .schemes import SchemeParams
 
@@ -50,8 +56,7 @@ def ideal_snr(net: LayeredNetwork, gains: GainAssignment, noisy_layer: int) -> f
     the same product taken on |H| and |beta| is cancellation residue and
     counts as zero.
     """
-    if not 1 <= noisy_layer <= net.num_layers - 1:
-        raise ValueError(f"noisy layer must lie in 1..{net.num_layers - 1}, got {noisy_layer}")
+    net.require_relay_layer(noisy_layer, "noisy layer")
     state = propagate_coefficients(net, gains)
     f = float(state.source[-1][0])
     beta = state.betas[noisy_layer]
@@ -73,9 +78,6 @@ def exceptional_power_sum(net: LayeredNetwork, spec: RegimeSpec) -> float:
 
 def rate_upper_bound(net: LayeredNetwork, spec: RegimeSpec) -> float:
     """Capacity upper bound 0.5 * log2(1 + sum of exceptional received powers)."""
-    spec.validate(net)
-    if spec.exceptional_layer == net.num_layers:
-        raise ValueError("upper bound requires the exceptional layer before the destination")
     return anc_rate(exceptional_power_sum(net, spec))
 
 
@@ -92,10 +94,7 @@ def lower_bound_terms(
     passing an explicit value evaluates the closed form at that margin (0
     gives the ideal case, where the geometric noise sum vanishes).
     """
-    spec.validate(net)
     l = spec.exceptional_layer
-    if l == net.num_layers:
-        raise ValueError("lower bound requires the exceptional layer before the destination")
     if params.c1 <= 0:
         raise ValueError(f"matched-scheme constant must be positive, got {params.c1}")
     if delta is None:
@@ -129,14 +128,12 @@ def mac_cutset(net: LayeredNetwork) -> float:
 
 
 def high_snr_lower_bound(net: LayeredNetwork) -> float:
-    """Closed-form full-power rate when every relay has large received power.
+    """Closed-form rate of [4]'s full-power scheme when every relay has large received power.
 
     Equals the MAC cut bound shrunk by one margin factor per relay hop; the
     two coincide as the margin vanishes (and exactly for a single hop).
     """
-    if net.num_layers == 1:
-        return mac_cutset(net)
-    delta = regime_delta(net, RegimeSpec(exceptional_layer=net.num_layers))
+    delta = power_margin(net, range(1, net.num_layers))
     p_rd = received_power(net, net.destination)
     return anc_rate(p_rd / (1.0 + delta) ** (net.num_layers - 1))
 
@@ -153,8 +150,6 @@ def rank_one_cutset(net: LayeredNetwork, spec: RegimeSpec) -> float | None:
     None when the rank exceeds one (singular-value ratio above 1e-10).
     """
     spec.validate(net)
-    if spec.exceptional_layer == net.num_layers:
-        raise ValueError("cut-set check requires the exceptional layer before the destination")
     h = net.gain_matrices[spec.exceptional_layer - 1]
     singular_values = np.linalg.svd(h, compute_uv=False)
     if singular_values[0] == 0.0:

@@ -6,6 +6,10 @@ and LF line endings, written by anclab.report.  bounds and simulate take
 --format csv|json; optimize always writes JSON and the three sweeps always
 write CSV.  Options are never abbreviated.  Exit codes: 0 success, 1
 validation or usage error, 2 a requested check failed.
+
+--layer names the exceptional layer, a relay layer 1..L-1.  A network with
+no weak relay layer is the case of Maric et al. [4]: --scheme full_power,
+with the high_snr_lower_bound column as its bound.
 """
 
 from __future__ import annotations
@@ -38,6 +42,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CHECK_FAILED = 2
 
+# A sweep-n row takes about 120 bytes per replicated relay, 120 MB at 10**6; far
+# larger counts exhaust memory or overflow numpy, so they are refused up front.
+MAX_RELAY_COUNT = 10**6
+
 
 class CliError(Exception):
     """Validation or usage failure; maps to exit code 1."""
@@ -67,13 +75,7 @@ def _scheme_gains(net: LayeredNetwork, scheme: str, layer: int | None):
         raise CliError("--layer is required for scheme-based commands")
     spec = RegimeSpec(exceptional_layer=layer)
     matched, params = matched_gains(net, spec)
-    if params is None:
-        raise CliError("--layer must name a relay layer (1..L-1)")
-    if scheme == "generalized":
-        return matched, params, spec
-    if scheme == "full_power":
-        return full_power_gains(net), params, spec
-    raise CliError(f"unknown scheme {scheme!r}")
+    return (full_power_gains(net) if scheme == "full_power" else matched), params, spec
 
 
 def _grid(text: str) -> list[float]:
@@ -98,12 +100,11 @@ def _grid(text: str) -> list[float]:
 
 
 def cmd_bounds(args) -> int:
+    config = OptimizerConfig(restarts=args.restarts, seed=args.seed)
     net = _load_net(args.network)
+    gains, params, spec = _scheme_gains(net, args.scheme, args.layer)
     if args.scheme == "optimizer":
-        gains, params, spec = _scheme_gains(net, "generalized", args.layer)
-        gains, snr = optimize_gains(net, OptimizerConfig(restarts=args.restarts, seed=args.seed))
-    else:
-        gains, params, spec = _scheme_gains(net, args.scheme, args.layer)
+        gains, snr = optimize_gains(net, config)
     payload = bounds_report(net, spec, gains, params, scheme=args.scheme).to_dict()
     if args.scheme == "optimizer":
         payload["optimizer_rate"] = anc_rate(snr)
@@ -116,15 +117,15 @@ def cmd_bounds(args) -> int:
 
 def cmd_simulate(args) -> int:
     net = _load_net(args.network)
-    if args.gains is not None:
+    if args.scheme is not None:
+        gains, _, _ = _scheme_gains(net, args.scheme, args.layer)
+    elif args.layer is not None:
+        raise CliError("--layer applies to --scheme, not to --gains")
+    else:
         try:
             gains = load_gains(net, args.gains)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise CliError(f"cannot load gains {args.gains}: {exc}") from exc
-    elif args.scheme is not None:
-        gains, _, _ = _scheme_gains(net, args.scheme, args.layer)
-    else:
-        raise CliError("provide --gains FILE or --scheme with --layer")
     config = SimConfig(samples=args.samples, seed=args.seed, workers=args.workers)
     report = simulate(net, gains, config)
     agreement = agreement_check(report, analytic_moments(net, gains), z_threshold=args.z)
@@ -189,6 +190,8 @@ def cmd_sweep_n(args) -> int:
         n = int(n_float)
         if n != n_float or n < 1:
             raise CliError(f"relay counts must be positive integers, got {n_float}")
+        if n > MAX_RELAY_COUNT:
+            raise CliError(f"relay counts must be at most {MAX_RELAY_COUNT}, got {n_float:g}")
         net = replicate_last_relay_layer(base, n, args.relay_budget)
         spec = RegimeSpec(exceptional_layer=net.num_layers - 1)
         matched, _ = matched_gains(net, spec)
@@ -259,8 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="sample-level simulation with agreement check")
     p.add_argument("--network", required=True)
-    p.add_argument("--gains", help="gain-assignment JSON file")
-    p.add_argument("--scheme", choices=["generalized", "full_power"], default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--gains", help="gain-assignment JSON file")
+    source.add_argument("--scheme", choices=["generalized", "full_power"])
     p.add_argument("--layer", type=int, default=None)
     p.add_argument("--samples", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=0)

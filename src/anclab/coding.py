@@ -61,8 +61,7 @@ class CodingState:
     def transmit_powers(self, layer: int) -> np.ndarray:
         """True second moment beta^2 E[y^2] of every relay of a layer, where
         E[y^2] = s^2 P + noise is the reception's signal plus noise power."""
-        if not 1 <= layer <= self.net.num_layers - 1:
-            raise ValueError(f"layer {layer} holds no relays")
+        self.net.require_relay_layer(layer)
         s, beta = self.source[layer], self.betas[layer]
         return beta * beta * (s * s * self.net.source_power + self.noise[layer])
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import LayeredNetwork, NodeId
+from .network import LayeredNetwork, NodeId, require_numbers
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,7 @@ class GainAssignment:
         return cls(tuple(np.array(layer, dtype=np.float64) for layer in values))
 
     def layer_array(self, net: LayeredNetwork, layer: int) -> np.ndarray:
-        if not 1 <= layer <= net.num_layers - 1:
-            raise ValueError(f"layer {layer} holds no relays")
+        net.require_relay_layer(layer)
         arr = self.layers[layer - 1]
         if arr.shape != (net.layer_sizes[layer],):
             raise ValueError(
@@ -72,6 +71,7 @@ def gains_from_dict(net: LayeredNetwork, data: dict) -> GainAssignment:
             raise ValueError(f"gain key {key!r} names no relay node")
         if node in named:
             raise ValueError(f"gain key {key!r} names relay {node} a second time")
+        require_numbers(f"gain {key!r}", value, 0)
         named.add(node)
         layers[node.layer - 1][node.index] = float(value)
     missing = [node for node in net.relays() if node not in named]

@@ -13,8 +13,10 @@ read-only arrays.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -104,13 +106,11 @@ class LayeredNetwork:
             for index in range(self.layer_sizes[layer]):
                 yield NodeId(layer, index)
 
-    def budget(self, k: NodeId) -> float:
-        """Power budget of a transmitting node; the source budget is its power."""
-        if k.layer == 0:
-            return self.source_power
-        if k.layer == self.num_layers:
-            raise ValueError("destination has no power budget")
-        return float(self.relay_budgets[k.layer - 1][k.index])
+    def require_relay_layer(self, layer: int, name: str = "layer") -> None:
+        """Raise ValueError unless layer is a relay layer 1..L-1: the one relay-layer check."""
+        if not 1 <= layer <= self.num_layers - 1:
+            last = self.num_layers - 1
+            raise ValueError(f"{name} must be a relay layer in 1..{last}, got {layer}")
 
     @cached_property
     def received_powers(self) -> tuple[np.ndarray, ...]:
@@ -222,23 +222,37 @@ def build_network(
 
 @dataclass(frozen=True)
 class RegimeSpec:
-    """Selects the one layer exempted from the high received-power condition."""
+    """Selects the one relay layer (1..L-1) exempted from the high received-power condition;
+    with no weak relay layer, [4]'s full_power_gains and high_snr_lower_bound apply."""
 
     exceptional_layer: int
 
     def validate(self, net: LayeredNetwork) -> None:
-        if not 1 <= self.exceptional_layer <= net.num_layers:
-            raise ValueError(
-                f"exceptional layer must lie in 1..{net.num_layers}, "
-                f"got {self.exceptional_layer}"
-            )
+        net.require_relay_layer(self.exceptional_layer, "exceptional layer")
 
 
 # ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------
 
-_NETWORK_FIELDS = {"layer_sizes", "gain_matrices", "power_budgets", "source_power"}
+# How deep each field nests its numbers in lists, in build_network's argument order.
+_NETWORK_FIELDS = {"layer_sizes": 1, "gain_matrices": 3, "power_budgets": 1, "source_power": 0}
+
+
+def require_numbers(field: str, value, depth: int) -> None:
+    """Raise NetworkValidationError unless value nests real numbers, not bool or str,
+    depth lists deep; numpy would take "2.0" and true as floats.  Plain JSON
+    numbers pass at C speed."""
+    items = [value]
+    for _ in range(depth):
+        if not set(map(type, items)) <= {list, tuple}:
+            bad = next(item for item in items if type(item) not in (list, tuple))
+            raise NetworkValidationError(f"{field}: {bad!r} is not a list")
+        items = list(itertools.chain.from_iterable(items))
+    if not set(map(type, items)) <= {int, float}:
+        for item in items:
+            if isinstance(item, bool) or not isinstance(item, numbers.Real):
+                raise NetworkValidationError(f"{field}: {item!r} is not a number")
 
 
 def network_to_dict(net: LayeredNetwork) -> dict:
@@ -251,18 +265,17 @@ def network_to_dict(net: LayeredNetwork) -> dict:
 
 
 def network_from_dict(data: dict) -> LayeredNetwork:
-    unknown = set(data) - _NETWORK_FIELDS
+    if not isinstance(data, dict):
+        raise NetworkValidationError("a network must be a JSON object")
+    unknown = set(data) - _NETWORK_FIELDS.keys()
     if unknown:
         raise NetworkValidationError(f"unknown network fields: {sorted(unknown)}")
-    missing = _NETWORK_FIELDS - set(data)
+    missing = _NETWORK_FIELDS.keys() - set(data)
     if missing:
         raise NetworkValidationError(f"missing network fields: {sorted(missing)}")
-    return build_network(
-        data["layer_sizes"],
-        data["gain_matrices"],
-        data["power_budgets"],
-        data["source_power"],
-    )
+    for field, depth in _NETWORK_FIELDS.items():
+        require_numbers(field, data[field], depth)
+    return build_network(*(data[field] for field in _NETWORK_FIELDS))
 
 
 def save_network(net: LayeredNetwork, path: str) -> None:

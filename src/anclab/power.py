@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -57,8 +57,7 @@ def safe_gains(net: LayeredNetwork, layer: int, delta: float | None = None) -> n
     Equals sqrt(P_k / ((1 + delta_k) * P_R)) with P_R the received power and
     delta_k = 1/P_R, or a uniform margin delta when one is given.
     """
-    if not 1 <= layer <= net.num_layers - 1:
-        raise ValueError(f"layer {layer} holds no relays")
+    net.require_relay_layer(layer)
     p_r = received_powers(net, layer)
     require_power(layer, p_r, "no safe gain exists")
     margin = 1.0 / p_r if delta is None else delta
@@ -67,8 +66,6 @@ def safe_gains(net: LayeredNetwork, layer: int, delta: float | None = None) -> n
 
 def received_power(net: LayeredNetwork, k: NodeId) -> float:
     """Full-budget coherent received power of one node."""
-    if k.layer == 0:
-        raise ValueError("the source node receives nothing")
     return float(received_powers(net, k.layer)[k.index])
 
 
@@ -80,20 +77,22 @@ def node_delta(net: LayeredNetwork, k: NodeId) -> float:
     return 1.0 / p
 
 
+def power_margin(net: LayeredNetwork, layers: Iterable[int]) -> float:
+    """Smallest delta with every node of the given layers receiving at least 1/delta, or 0."""
+    worst = math.inf
+    for layer in layers:
+        p = received_powers(net, layer)
+        require_power(layer, p, "regime margin undefined")
+        worst = min(worst, float(p.min()))
+    return 1.0 / worst
+
+
 def regime_delta(net: LayeredNetwork, spec: RegimeSpec) -> float:
     """Smallest margin for which every node outside the exceptional layer
     (and the source) has received power at least 1/delta."""
     spec.validate(net)
-    worst = math.inf
-    for layer in range(1, net.num_layers + 1):
-        if layer == spec.exceptional_layer:
-            continue
-        p = received_powers(net, layer)
-        require_power(layer, p, "regime margin undefined")
-        worst = min(worst, float(p.min()))
-    if not math.isfinite(worst):
-        raise ValueError("no nodes outside the exceptional layer")
-    return 1.0 / worst
+    others = [m for m in range(1, net.num_layers + 1) if m != spec.exceptional_layer]
+    return power_margin(net, others)
 
 
 def max_safe_gain(net: LayeredNetwork, k: NodeId) -> float:
@@ -102,10 +101,9 @@ def max_safe_gain(net: LayeredNetwork, k: NodeId) -> float:
     Raises ValueError when k, or any other relay of its layer, has zero
     received power: the box is computed for the whole layer at once.
     """
+    net.require_relay_layer(k.layer)
     if received_power(net, k) == 0.0:
         raise ValueError(f"received power at {k} is zero; no safe gain exists")
-    if k.layer == net.num_layers:
-        raise ValueError("destination has no power budget")
     return float(safe_gains(net, k.layer)[k.index])
 
 
@@ -118,8 +116,6 @@ def exact_transmit_power(
     """True second moment of node k's transmission, beta_k^2 * E[reception^2]."""
     if k.layer == 0:
         return net.source_power
-    if k.layer == net.num_layers:
-        raise ValueError("destination never transmits")
     if state is None:
         state = propagate_coefficients(net, gains)
     return float(state.transmit_powers(k.layer)[k.index])

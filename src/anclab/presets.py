@@ -107,8 +107,7 @@ def rescale_to_delta(
     """
     if delta <= 0:
         raise ValueError("margin must be positive")
-    if not 1 <= exceptional_layer <= net.num_layers:
-        raise ValueError(f"exceptional layer must lie in 1..{net.num_layers}")
+    net.require_relay_layer(exceptional_layer, "exceptional layer")
     target = 1.0 / delta
 
     factors = {}

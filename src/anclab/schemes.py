@@ -49,16 +49,13 @@ def downstream_gains(net: LayeredNetwork, gains: GainAssignment, layer: int) -> 
     layer+1..L-1.  The nodes' own gains are excluded, so g_j * beta_j
     equals the propagated noise coefficient from j to the destination.
     """
-    if not 1 <= layer <= net.num_layers - 1:
-        raise ValueError(f"layer must lie in 1..{net.num_layers - 1}, got {layer}")
+    net.require_relay_layer(layer)
     betas = [None] + [gains.layer_array(net, m) for m in range(1, net.num_layers)]
     return destination_rows(net, betas)[layer]
 
 
-def matched_gains(
-    net: LayeredNetwork, spec: RegimeSpec
-) -> tuple[GainAssignment, SchemeParams | None]:
-    """Gain assignment for a network with one weak layer.
+def matched_gains(net: LayeredNetwork, spec: RegimeSpec) -> tuple[GainAssignment, SchemeParams]:
+    """Gain assignment for a network with one weak relay layer.
 
     Relays outside the exceptional layer transmit at the safe maximum taken
     with the uniform regime margin (never above their per-node maximum).
@@ -67,10 +64,9 @@ def matched_gains(
     the destination-bound scales gamma_j = c1 * sqrt(P_R_j) and keeps every
     node inside its per-node power condition.
 
-    With the exceptional layer set to L the assignment degenerates to the
-    full-power form evaluated at the uniform margin and params is None.
+    The exceptional layer is a relay layer.  A network with no weak relay
+    layer is the case of [4]: full_power_gains, with high_snr_lower_bound.
     """
-    spec.validate(net)
     l = spec.exceptional_layer
     delta = regime_delta(net, spec)
 
@@ -78,9 +74,6 @@ def matched_gains(
         np.zeros(net.layer_sizes[layer]) if layer == l else safe_gains(net, layer, delta)
         for layer in range(1, net.num_layers)
     ]
-    if l == net.num_layers:
-        return GainAssignment.from_layers(layers), None
-
     g = destination_rows(net, [None] + layers)[l]
     scale = destination_rows(net, [None, *map(np.abs, layers)], [*map(np.abs, net.gain_matrices)])
     zero = np.flatnonzero(np.abs(g) <= _CANCEL_RTOL * scale[l])  # cancellation residue is zero

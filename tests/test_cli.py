@@ -90,6 +90,24 @@ def test_invalid_network_file(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"source_power": "100"}, "source_power: '100' is not a number"),
+        ("abc", "a network must be a JSON object"),
+        (5, "a network must be a JSON object"),
+    ],
+    ids=["string-source-power", "string", "number"],
+)
+def test_network_of_wrong_type_is_one_error_line(data, message, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    if isinstance(data, dict):
+        data = {**json.loads((CONFIGS / "chain.json").read_text()), **data}
+    bad.write_text(json.dumps(data))
+    assert main(["bounds", "--network", str(bad), "--layer", "1"]) == 1
+    assert capsys.readouterr().err == f"error: cannot load network {bad}: {message}\n"
+
+
 def test_usage_error_exits_one(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["bounds"])  # missing required flags
@@ -371,8 +389,9 @@ def test_abbreviated_option_is_a_usage_error(three_layer_file, grid, capsys):
         {"1:0": 0.5, "1:7": 0.25},
         {"1:0": 0.5, "01:0": 0.25, "1:1": 0.25},
         [0.5, 0.25],
+        {"1:0": "0.5", "1:1": 0.25},
     ],
-    ids=["negative-index", "index-past-layer", "relay-named-twice", "list"],
+    ids=["negative-index", "index-past-layer", "relay-named-twice", "list", "string-gain"],
 )
 def test_bad_gain_file_is_one_error_line(beta, tmp_path, capsys):
     gains_file = tmp_path / "g.json"
@@ -382,3 +401,69 @@ def test_bad_gain_file_is_one_error_line(beta, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot load gains") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("layer", ["0", "3"])  # three_layer.json has L = 3
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds"],
+        ["sweep-ps", "--grid", "10"],
+        ["sweep-delta", "--grid", "0.1"],
+        ["simulate", "--scheme", "generalized", "--samples", "1000"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_layer_outside_relay_layers_is_one_error_line(argv, layer, capsys):
+    network = str(CONFIGS / "three_layer.json")
+    assert main(argv + ["--network", network, "--layer", layer]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: exceptional layer must be a relay layer in 1..2, got {layer}\n"
+
+
+@pytest.mark.parametrize("grid", ["1e30", "1e12"])
+def test_sweep_n_refuses_huge_relay_counts(grid, monkeypatch, capsys):
+    def no_network(*args):
+        raise AssertionError("a network was built")
+
+    monkeypatch.setattr("anclab.cli.replicate_last_relay_layer", no_network)
+    network = str(CONFIGS / "wide_bottleneck_base.json")
+    assert main(["sweep-n", "--network", network, "--grid", grid]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: relay counts must be at most 1000000, got {float(grid):g}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--layer", "1", "--restarts", "0"],
+        ["bounds", "--layer", "1", "--seed", "-1"],
+        ["simulate", "--gains", "GAINS", "--scheme", "full_power", "--layer", "1"],
+        ["simulate", "--gains", "GAINS", "--layer", "7"],
+        ["simulate", "--gains", "GAINS", "--layer", "1"],
+        ["simulate", "--layer", "1"],
+    ],
+    ids=[
+        "bounds-restarts-0",
+        "bounds-seed-negative",
+        "simulate-gains-and-scheme",
+        "simulate-gains-with-bad-layer",
+        "simulate-gains-with-layer",
+        "simulate-neither-gains-nor-scheme",
+    ],
+)
+def test_option_without_effect_is_rejected(argv, chain_file, tmp_path, capsys):
+    gains = tmp_path / "gains.json"
+    save_gains(chain_network(hops=2), GainAssignment.from_layers([[0.5]]), str(gains))
+    argv = [str(gains) if a == "GAINS" else a for a in argv]
+    try:
+        code = main(argv + ["--network", chain_file])
+    except SystemExit as exc:  # argparse usage errors exit this way
+        code = exc.code
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert sum(line.startswith("error:") for line in captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err

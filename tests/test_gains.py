@@ -45,6 +45,8 @@ def test_incomplete_assignment_rejected():
         ({"beta": {"1:0": 0.5, "1": 0.25}}, "'1' is not of the form layer:index"),
         ({"beta": [0.5, 0.25]}, '"beta" must map'),
         ([0.5, 0.25], "must be a JSON object"),
+        ({"beta": {"1:0": "0.5", "1:1": 0.25}}, "gain '1:0': '0.5' is not a number"),
+        ({"beta": {"1:0": True, "1:1": 0.25}}, "gain '1:0': True is not a number"),
     ],
 )
 def test_bad_gain_data_rejected(data, message):

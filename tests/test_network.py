@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ def test_minimal_diamond_builds():
     assert net.source == NodeId(0, 0)
     assert net.destination == NodeId(2, 0)
     assert list(net.relays()) == [NodeId(1, 0), NodeId(1, 1)]
-    assert net.budget(NodeId(1, 1)) == 1.0
-    assert net.budget(net.source) == 1.0
+    assert net.relay_budgets[0][1] == 1.0
+    assert net.source_power == 1.0
 
 
 def test_three_layer_shape_builds():
@@ -122,4 +123,26 @@ def test_missing_json_field_rejected():
     data = network_to_dict(net)
     del data["source_power"]
     with pytest.raises(NetworkValidationError, match="missing"):
+        network_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("power_budgets", ["2.0", 1.0], "power_budgets: '2.0' is not a number"),
+        ("power_budgets", 2.0, "power_budgets: 2.0 is not a list"),
+        ("source_power", True, "source_power: True is not a number"),
+        ("source_power", "100", "source_power: '100' is not a number"),
+        ("source_power", [100.0], "source_power: [100.0] is not a number"),
+        ("source_power", None, "source_power: None is not a number"),
+        ("layer_sizes", [True, 2, 1], "layer_sizes: True is not a number"),
+        ("gain_matrices", [[["1.0"], [1.0]], [[1.0, 1.0]]], "gain_matrices: '1.0' is not a number"),
+        ("gain_matrices", [[[1.0], [None]], [[1.0, 1.0]]], "gain_matrices: None is not a number"),
+        ("gain_matrices", [[1.0, 1.0], [[1.0, 1.0]]], "gain_matrices: 1.0 is not a list"),
+    ],
+)
+def test_json_field_of_wrong_type_rejected(field, value, message):
+    net = build_network([1, 2, 1], [[[1.0], [1.0]], [[1.0, 1.0]]], [1.0, 1.0], 1.0)
+    data = {**network_to_dict(net), field: value}
+    with pytest.raises(NetworkValidationError, match=f"^{re.escape(message)}$"):
         network_from_dict(data)

@@ -176,9 +176,8 @@ def test_first_layer_equality_at_max_gain():
         for i in range(net.layer_sizes[1]):
             k = NodeId(1, i)
             exact = exact_transmit_power(net, gains, k, state=state)
-            assert abs(exact - net.budget(k)) <= 1e-12 * net.budget(k), (
-                f"{k}: {exact} vs {net.budget(k)}"
-            )
+            budget = net.relay_budgets[0][i]
+            assert abs(exact - budget) <= 1e-12 * budget, f"{k}: {exact} vs {budget}"
 
 
 def test_exact_transmit_power_chain():
@@ -195,7 +194,7 @@ def test_sufficient_condition_sound_for_coherent_networks():
         state = propagate_coefficients(net, gains)
         for k in net.relays():
             exact = exact_transmit_power(net, gains, k, state=state)
-            assert exact <= net.budget(k) + 1e-9
+            assert exact <= net.relay_budgets[k.layer - 1][k.index] + 1e-9
 
 
 def test_sign_cancellation_defeats_sufficient_condition():
@@ -213,7 +212,7 @@ def test_sign_cancellation_defeats_sufficient_condition():
     report = check_feasible(net, gains)
     assert report.sufficient_ok  # every beta inside its box
     k = NodeId(2, 0)
-    assert exact_transmit_power(net, gains, k) > net.budget(k) + 1e-9
+    assert exact_transmit_power(net, gains, k) > net.relay_budgets[1][0] + 1e-9
     assert not report.exact_ok
 
 

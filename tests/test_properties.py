@@ -1,6 +1,7 @@
 """Property-based checks on generated networks: the coding core, the
 optimizer's layer sweep and its SNR, the rate sandwich, JSON round trips,
-the feasibility report and the Monte Carlo block kernel.
+the feasibility report, the Monte Carlo block kernel and the relay-layer
+range every layer-taking function accepts.
 
 Networks have 2..4 hops and up to 3 nodes per relay layer, so the path
 oracle stays cheap.  Runs are derandomized, so every run checks the same
@@ -18,25 +19,35 @@ from hypothesis.extra.numpy import arrays
 
 from anclab import (
     GainAssignment,
+    NodeId,
     RegimeSpec,
     anc_rate,
     build_network,
     check_feasible,
     destination_snr,
+    downstream_gains,
+    exact_transmit_power,
+    full_power_gains,
     gains_from_dict,
     gains_to_dict,
+    ideal_snr,
     matched_gains,
+    max_safe_gain,
     network_from_dict,
     network_to_dict,
     path_coefficient,
     propagate_coefficients,
+    rank_one_cutset,
     rate_lower_bound,
     rate_upper_bound,
+    regime_delta,
 )
+from anclab.bounds import exceptional_power_sum, lower_bound_terms
 from anclab.coding import destination_rows, forward_hop
 from anclab.montecarlo import _block_sums
 from anclab.optimize import _ascend, _best_gain, _sweep_layer
 from anclab.power import safe_gains
+from anclab.presets import rescale_to_delta
 from conftest import feasibility_records, per_node_block_sums, records_outputs, swept_coefficients
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -265,3 +276,46 @@ def test_pass_wise_block_sums_match_per_node_loop(case, size, seed):
     ref_node, ref_dest = per_node_block_sums(net, betas, seed, 0, size)
     np.testing.assert_allclose(node, ref_node, rtol=1e-12)
     np.testing.assert_allclose(dest, ref_dest, rtol=1e-12)
+
+
+def _relay_layer_calls(net, layer):
+    """Every function that takes a relay layer, or a node of one, called with layer."""
+    full = full_power_gains(net)
+    state = propagate_coefficients(net, full)
+    _, params = matched_gains(net, RegimeSpec(exceptional_layer=1))
+    spec = RegimeSpec(exceptional_layer=layer)
+    node = NodeId(layer, 0)
+    return {
+        "RegimeSpec.validate": lambda: spec.validate(net),
+        "regime_delta": lambda: regime_delta(net, spec),
+        "matched_gains": lambda: matched_gains(net, spec),
+        "exceptional_power_sum": lambda: exceptional_power_sum(net, spec),
+        "rate_upper_bound": lambda: rate_upper_bound(net, spec),
+        "lower_bound_terms": lambda: lower_bound_terms(net, spec, params),
+        "rank_one_cutset": lambda: rank_one_cutset(net, spec),
+        "rescale_to_delta": lambda: rescale_to_delta(net, layer, 0.1),
+        "GainAssignment.layer_array": lambda: full.layer_array(net, layer),
+        "safe_gains": lambda: safe_gains(net, layer),
+        "CodingState.transmit_powers": lambda: state.transmit_powers(layer),
+        "downstream_gains": lambda: downstream_gains(net, full, layer),
+        "ideal_snr": lambda: ideal_snr(net, full, layer),
+        "max_safe_gain": lambda: max_safe_gain(net, node),
+        "exact_transmit_power": lambda: exact_transmit_power(net, full, node),
+    }
+
+
+@PROPERTY_SETTINGS
+@given(networks(signed=False), st.data())
+def test_relay_layer_range_is_one_check(net, data):
+    # Coherent networks leave no cancelled power, so a relay layer is always accepted.
+    num_layers = net.num_layers
+    layer = data.draw(st.integers(-1, num_layers + 1))
+    message = rf"(exceptional |noisy )?layer must be a relay layer in 1\.\.{num_layers - 1}, "
+    for name, call in _relay_layer_calls(net, layer).items():
+        if 1 <= layer < num_layers:
+            call()
+        elif name == "exact_transmit_power" and layer == 0:
+            assert call() == net.source_power  # the source transmits too
+        else:
+            with pytest.raises(ValueError, match=f"^{message}got {layer}$"):
+                call()
