@@ -112,14 +112,9 @@ def lower_bound_terms(
     return anc_rate(numerator / denominator), c2, c3
 
 
-def rate_lower_bound(
-    net: LayeredNetwork,
-    spec: RegimeSpec,
-    params: SchemeParams,
-    delta: float | None = None,
-) -> float:
+def rate_lower_bound(net: LayeredNetwork, spec: RegimeSpec, params: SchemeParams) -> float:
     """Guaranteed rate of the matched scheme in the given regime."""
-    return lower_bound_terms(net, spec, params, delta=delta)[0]
+    return lower_bound_terms(net, spec, params)[0]
 
 
 def mac_cutset(net: LayeredNetwork) -> float:
@@ -151,9 +146,7 @@ def rank_one_cutset(net: LayeredNetwork, spec: RegimeSpec) -> float | None:
     """
     spec.validate(net)
     h = net.gain_matrices[spec.exceptional_layer - 1]
-    singular_values = np.linalg.svd(h, compute_uv=False)
-    if singular_values[0] == 0.0:
-        return None
+    singular_values = np.linalg.svd(h, compute_uv=False)  # > 0: build_network bars zero rows
     if len(singular_values) > 1 and singular_values[1] > _RANK_ONE_SV_RATIO * singular_values[0]:
         return None
     return anc_rate(exceptional_power_sum(net, spec))

@@ -69,13 +69,13 @@ def _load_net(path: str) -> LayeredNetwork:
         raise CliError(f"cannot load network {path}: {exc}") from exc
 
 
-def _scheme_gains(net: LayeredNetwork, scheme: str, layer: int | None):
-    """Gain assignment plus matched-scheme params for the requested scheme."""
+def _regime(net: LayeredNetwork, layer: int | None) -> RegimeSpec:
+    """The regime whose exceptional layer is --layer, checked against the network."""
     if layer is None:
         raise CliError("--layer is required for scheme-based commands")
     spec = RegimeSpec(exceptional_layer=layer)
-    matched, params = matched_gains(net, spec)
-    return (full_power_gains(net) if scheme == "full_power" else matched), params, spec
+    spec.validate(net)
+    return spec
 
 
 def _grid(text: str) -> list[float]:
@@ -102,8 +102,11 @@ def _grid(text: str) -> list[float]:
 def cmd_bounds(args) -> int:
     config = OptimizerConfig(restarts=args.restarts, seed=args.seed)
     net = _load_net(args.network)
-    gains, params, spec = _scheme_gains(net, args.scheme, args.layer)
-    if args.scheme == "optimizer":
+    spec = _regime(net, args.layer)
+    gains, params = matched_gains(net, spec)  # every scheme's lower bound reads params.c1
+    if args.scheme == "full_power":
+        gains = full_power_gains(net)
+    elif args.scheme == "optimizer":
         gains, snr = optimize_gains(net, config)
     payload = bounds_report(net, spec, gains, params, scheme=args.scheme).to_dict()
     if args.scheme == "optimizer":
@@ -118,7 +121,8 @@ def cmd_bounds(args) -> int:
 def cmd_simulate(args) -> int:
     net = _load_net(args.network)
     if args.scheme is not None:
-        gains, _, _ = _scheme_gains(net, args.scheme, args.layer)
+        spec = _regime(net, args.layer)  # checked, though full-power gains ignore it
+        gains = full_power_gains(net) if args.scheme == "full_power" else matched_gains(net, spec)[0]
     elif args.layer is not None:
         raise CliError("--layer applies to --scheme, not to --gains")
     else:

@@ -41,7 +41,7 @@ class CodingState:
 
     The array fields are the interface, each a tuple indexed by layer and
     then by node index:
-      betas[l]   amplification of layers 0..L-1 (the source's is 1);
+      betas[l]   GainAssignment.betas(net): gains of layers 0..L-1, the source's 1;
       source[l]  coefficient of the source symbol at layer l, l = 0..L;
       noise[l]   propagated-plus-local noise power at layer l, unit noise
                  variances (0 at the source, which receives nothing);
@@ -95,7 +95,7 @@ def forward_hop(net: LayeredNetwork, betas, layer: int, source, transfer):
 
 def propagate_coefficients(net: LayeredNetwork, gains: GainAssignment) -> CodingState:
     """Source vectors, noise powers and destination rows of every layer."""
-    betas = [np.ones(1)] + [gains.layer_array(net, layer) for layer in range(1, net.num_layers)]
+    betas = gains.betas(net)
     source = [np.ones(1)]
     noise = [np.zeros(1)]
     transfer = np.zeros((1, 0))  # the source injects no noise
@@ -105,7 +105,7 @@ def propagate_coefficients(net: LayeredNetwork, gains: GainAssignment) -> Coding
         noise.append((transfer * transfer).sum(axis=1) + 1.0)
     return CodingState(
         net=net,
-        betas=tuple(betas),
+        betas=betas,
         source=tuple(source),
         noise=tuple(noise),
         rows=tuple(destination_rows(net, betas)),
@@ -161,13 +161,13 @@ def path_coefficient(
     """Coefficient from origin to target by explicit path enumeration.
 
     Sums, over every path, the product of beta * h along the hops, starting
-    with the origin's own amplification.  Reads the hop matrices and gain
-    layers itself, independent of the layered sweep; guarded against
-    combinatorial blow-up.
+    with the origin's own amplification.  Reads the hop matrices and the
+    gain tuple betas(net) itself, independent of the layered sweep; guarded
+    against combinatorial blow-up.
     """
+    betas = gains.betas(net)
     if target == origin:
         return 1.0
-    betas = [np.ones(1)] + [gains.layer_array(net, l) for l in range(1, net.num_layers)]
     total = 0.0
     for path in enumerate_paths(net, origin, target):
         product = 1.0

@@ -2,8 +2,10 @@
 
 A gain assignment gives every relay node the scalar it applies to its
 reception before retransmitting.  The source's gain is fixed at 1 and the
-destination never transmits, so neither appears here.  In JSON the gains
-are keyed by each relay's "layer:index" text, and every relay is named once.
+destination never transmits, so neither appears here.  betas(net) is where
+an assignment meets a network, checked once: its result (1, beta_1, ...,
+beta_{L-1}) is CodingState.betas, indexed by layer.  In JSON the gains are
+keyed by each relay's "layer:index" text, and every relay is named once.
 """
 
 from __future__ import annotations
@@ -32,20 +34,25 @@ class GainAssignment:
     def from_layers(cls, values: list[list[float]] | list[np.ndarray]) -> "GainAssignment":
         return cls(tuple(np.array(layer, dtype=np.float64) for layer in values))
 
-    def layer_array(self, net: LayeredNetwork, layer: int) -> np.ndarray:
-        net.require_relay_layer(layer)
-        arr = self.layers[layer - 1]
-        if arr.shape != (net.layer_sizes[layer],):
+    def betas(self, net: LayeredNetwork) -> tuple[np.ndarray, ...]:
+        """Gains of net's layers 0..L-1 (the source's is 1), checked against net."""
+        relay_layers = net.num_layers - 1
+        if len(self.layers) != relay_layers:
             raise ValueError(
-                f"gain assignment layer {layer} has {arr.size} entries, "
-                f"network expects {net.layer_sizes[layer]}"
+                f"gain assignment has {len(self.layers)} relay layers, network has {relay_layers}"
             )
-        return arr
+        for layer, arr in enumerate(self.layers, start=1):
+            if arr.shape != (net.layer_sizes[layer],):
+                raise ValueError(
+                    f"gain assignment layer {layer} has {arr.size} entries, "
+                    f"network expects {net.layer_sizes[layer]}"
+                )
+        return (np.ones(1), *self.layers)
 
 
 def gains_to_dict(net: LayeredNetwork, gains: GainAssignment) -> dict:
-    layers = [gains.layer_array(net, layer) for layer in range(1, net.num_layers)]
-    return {"beta": {str(k): float(layers[k.layer - 1][k.index]) for k in net.relays()}}
+    betas = gains.betas(net)
+    return {"beta": {str(k): float(betas[k.layer][k.index]) for k in net.relays()}}
 
 
 def gains_from_dict(net: LayeredNetwork, data: dict) -> GainAssignment:

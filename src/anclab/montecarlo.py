@@ -65,8 +65,8 @@ class SimReport:
         return json_text(self)
 
 
-def _block_sums(net, beta_layers, seed, block, size):
-    """Raw moment sums for one block of samples, taken pass by pass.
+def _block_sums(net, betas, seed, block, size):
+    """Raw moment sums of one block under betas = GainAssignment.betas(net), pass by pass.
 
     Returns the sums of x^2 and x^4 of each transmitting node, shape
     (2, nodes) in layer order from the source, and the destination's sums of
@@ -104,7 +104,7 @@ def _block_sums(net, beta_layers, seed, block, size):
             np.matmul(net.gain_matrices[layer - 1], x, out=y)
             y += z
             if layer < net.num_layers:
-                y *= beta_layers[layer - 1][:, np.newaxis]
+                y *= betas[layer][:, np.newaxis]
                 x = y
         t = scratch[: 3 * n].reshape(3, n)
         np.square(y[0], out=t[0])
@@ -124,7 +124,7 @@ def simulate(net: LayeredNetwork, gains: GainAssignment, config: SimConfig) -> S
     keyed by (seed, node, block), and the blocks' sums are added in block
     order as they arrive, so the report does not depend on the worker count.
     """
-    beta_layers = [gains.layer_array(net, layer) for layer in range(1, net.num_layers)]
+    betas = gains.betas(net)
     blocks = [
         (b, min(_BLOCK, config.samples - b * _BLOCK))
         for b in range((config.samples + _BLOCK - 1) // _BLOCK)
@@ -132,7 +132,7 @@ def simulate(net: LayeredNetwork, gains: GainAssignment, config: SimConfig) -> S
 
     def run(args):
         block, size = args
-        return _block_sums(net, beta_layers, config.seed, block, size)
+        return _block_sums(net, betas, config.seed, block, size)
 
     nodes = [NodeId(l, i) for l in range(net.num_layers) for i in range(net.layer_sizes[l])]
     node_sums = np.zeros((2, len(nodes)))

@@ -55,7 +55,7 @@ def _best_gain(a0, a1, q0, q1, q2, box, power) -> float:
     candidates = [box, -box]  # positive end first so sign-symmetric ties stay positive
     slope = a1 * q1 - 2.0 * a0 * q2
     intercept = a0 * q1 - 2.0 * a1 * q0
-    if slope != 0.0:
+    if slope != 0.0:  # guards the division only: a stationary point must beat both ends
         stationary = intercept / slope
         if -box < stationary < box:
             candidates.append(stationary)

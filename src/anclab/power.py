@@ -9,7 +9,8 @@ the same read-only array.  Gains are signed and enter the sum before
 squaring, so mixed signs can drive the value toward zero.  A sum no larger
 than 1e-12 times the summed magnitudes of its terms is cancellation residue
 and counts as exactly zero, which is a hard error wherever its reciprocal
-is needed.
+is needed.  Layer-wide checks report it through require_power, which names
+the first such node; max_safe_gain and node_delta check their own node.
 
 safe_gains(layer) is the box: the largest amplification magnitude for which
 the received-power sufficient condition guarantees each relay's transmit
@@ -96,11 +97,7 @@ def regime_delta(net: LayeredNetwork, spec: RegimeSpec) -> float:
 
 
 def max_safe_gain(net: LayeredNetwork, k: NodeId) -> float:
-    """Largest |beta| at relay k under the sufficient power condition.
-
-    Raises ValueError when k, or any other relay of its layer, has zero
-    received power: the box is computed for the whole layer at once.
-    """
+    """Largest |beta| at relay k; ValueError if k or its layer has zero received power."""
     net.require_relay_layer(k.layer)
     if received_power(net, k) == 0.0:
         raise ValueError(f"received power at {k} is zero; no safe gain exists")
@@ -186,7 +183,7 @@ def check_feasible(net: LayeredNetwork, gains: GainAssignment) -> FeasibilityRep
     """Per-relay comparison of the sufficient condition and the exact budget."""
     state = propagate_coefficients(net, gains)
     relay_layers = range(1, net.num_layers)
-    beta = _column([gains.layer_array(net, layer) for layer in relay_layers])
+    beta = _column(state.betas[1:])
     beta_max = _column([safe_gains(net, layer) for layer in relay_layers])
     exact = _column([state.transmit_powers(layer) for layer in relay_layers])
     budget = _column(net.relay_budgets)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .network import LayeredNetwork, build_network
-from .power import received_powers
+from .power import received_powers, require_power
 
 
 def chain_network(
@@ -110,15 +110,12 @@ def rescale_to_delta(
     net.require_relay_layer(exceptional_layer, "exceptional layer")
     target = 1.0 / delta
 
-    factors = {}
+    factors = [1.0] * net.num_layers
     for m in range(net.num_layers):
-        if m == exceptional_layer - 1:
-            factors[m] = 1.0
-            continue
-        worst = float(received_powers(net, m + 1).min())
-        if worst == 0.0:
-            raise ValueError(f"layer {m + 1} contains a node with zero received power")
-        factors[m] = target / worst
+        if m != exceptional_layer - 1:
+            p_r = received_powers(net, m + 1)
+            require_power(m + 1, p_r, "no rescaling reaches the margin")
+            factors[m] = target / float(p_r.min())
 
     source_power = net.source_power * factors[0]
     budgets = []

@@ -50,8 +50,7 @@ def downstream_gains(net: LayeredNetwork, gains: GainAssignment, layer: int) -> 
     equals the propagated noise coefficient from j to the destination.
     """
     net.require_relay_layer(layer)
-    betas = [None] + [gains.layer_array(net, m) for m in range(1, net.num_layers)]
-    return destination_rows(net, betas)[layer]
+    return destination_rows(net, gains.betas(net))[layer]
 
 
 def matched_gains(net: LayeredNetwork, spec: RegimeSpec) -> tuple[GainAssignment, SchemeParams]:
@@ -74,8 +73,9 @@ def matched_gains(net: LayeredNetwork, spec: RegimeSpec) -> tuple[GainAssignment
         np.zeros(net.layer_sizes[layer]) if layer == l else safe_gains(net, layer, delta)
         for layer in range(1, net.num_layers)
     ]
-    g = destination_rows(net, [None] + layers)[l]
-    scale = destination_rows(net, [None, *map(np.abs, layers)], [*map(np.abs, net.gain_matrices)])
+    betas = [np.ones(1), *layers]
+    g = destination_rows(net, betas)[l]
+    scale = destination_rows(net, [*map(np.abs, betas)], [*map(np.abs, net.gain_matrices)])
     zero = np.flatnonzero(np.abs(g) <= _CANCEL_RTOL * scale[l])  # cancellation residue is zero
     if zero.size:
         raise ValueError(

@@ -51,6 +51,11 @@ def near_cancelling_network(eps: float):
     )
 
 
+def cancelling_destination_network():
+    """[1, 3, 1] network whose destination sum 0.1 + 0.2 - 0.3 is cancellation residue."""
+    return build_network([1, 3, 1], [[[1.0], [1.0], [1.0]], [[0.1, 0.2, -0.3]]], [1.0] * 3, 1.0)
+
+
 def box_limits(net) -> list[np.ndarray]:
     return [
         np.array([max_safe_gain(net, NodeId(layer, i)) for i in range(net.layer_sizes[layer])])
@@ -127,7 +132,7 @@ def feasibility_records(net, gains) -> tuple[NodeFeasibility, ...]:
     state = propagate_coefficients(net, gains)
     entries = []
     for layer in range(1, net.num_layers):
-        beta = gains.layer_array(net, layer)
+        beta = gains.betas(net)[layer]
         beta_max = safe_gains(net, layer)
         exact = state.transmit_powers(layer)
         budget = net.relay_budgets[layer - 1]

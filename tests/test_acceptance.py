@@ -7,6 +7,7 @@ networks wherever a claim relies on constructive signal combining; see
 tests/test_power.py for the pinned counterexample that motivates this.
 """
 
+import math
 import time
 from pathlib import Path
 
@@ -32,11 +33,13 @@ from anclab import (
     rank_one_cutset,
     rate_lower_bound,
     rate_upper_bound,
+    regime_delta,
     save_gains,
     save_network,
     simulate,
     SimConfig,
 )
+from anclab.bounds import exceptional_power_sum, lower_bound_terms
 from anclab.cli import main
 from anclab.presets import (
     asymmetric_three_layer,
@@ -343,4 +346,50 @@ def test_c10_deterministic_outputs(tmp_path):
     _verdict(
         "criterion 10 (determinism)",
         "simulate (across worker counts) and all three sweeps byte-identical",
+    )
+
+
+def test_c11_asymptotic_gap_and_its_condition():
+    """The bound gap is (delta*s + c2/(c1^2 s)) / (2 ln 2) to first order, so it
+    vanishes as s grows only while delta*s -> 0.
+
+    On wide_bottleneck_network(n) with exceptional layer 2, s = 4n, c2 = 1,
+    c1^2 = 0.1 and delta = 1/min(P_s, 2n^2).  At P_s = 1e9 every n below
+    22 360 has delta*s = 2/n, so n*gap -> 4.5 / (2 ln 2); at P_s = 1e6 the
+    margin stops shrinking at n = 708, and the gap has its minimum near
+    n* = sqrt(2.5 / 4e-6) = 790 and grows after it.  Below n = 50, delta*s
+    nears 1 and the first-order form does not hold, so no claim is made there.
+    """
+    spec = RegimeSpec(exceptional_layer=2)
+    widths = [50, 100, 500, 800, 1000, 3000, 10000]
+    gaps = {}
+    worst = 0.0
+    for p_s in (1e6, 1e9):
+        for n in widths:
+            net = wide_bottleneck_network(n, source_power=p_s)
+            _, params = matched_gains(net, spec)
+            _, c2, _ = lower_bound_terms(net, spec, params)
+            gap = rate_upper_bound(net, spec) - rate_lower_bound(net, spec, params)
+            s = exceptional_power_sum(net, spec)
+            first_order = (regime_delta(net, spec) * s + c2 / (params.c1**2 * s)) / math.log(4)
+            deviation = abs(gap / first_order - 1.0)
+            assert deviation < 0.05, (p_s, n, gap, first_order)
+            worst = max(worst, deviation)
+            gaps[p_s, n] = gap
+
+    limit = 4.5 / math.log(4)
+    scaled = [n * gaps[1e9, n] for n in widths]
+    assert all(a < b < limit for a, b in zip(scaled, scaled[1:])), scaled
+    assert scaled[-1] == pytest.approx(limit, rel=1e-3)
+
+    fixed = [gaps[1e6, n] for n in widths]
+    assert min(fixed) == gaps[1e6, 800], fixed
+    assert all(a > b for a, b in zip(fixed, fixed[1:3])), fixed  # falls up to n = 800
+    assert all(a < b for a, b in zip(fixed[3:], fixed[4:])), fixed  # and grows after it
+    assert gaps[1e6, 10000] > gaps[1e6, 500]
+    _verdict(
+        "criterion 11 (asymptotic gap)",
+        f"gap within {worst:.1%} of its first-order form for n in 50..10000; "
+        f"n*gap -> {scaled[-1]:.4f} (limit {limit:.4f}) at P_s = 1e9, "
+        f"minimum at n = 800 at P_s = 1e6",
     )

@@ -14,6 +14,7 @@ from anclab import (
 )
 from anclab.cli import main
 from anclab.presets import asymmetric_three_layer, chain_network, wide_bottleneck_network
+from conftest import cancelling_destination_network, near_cancelling_network
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -467,3 +468,40 @@ def test_option_without_effect_is_rejected(argv, chain_file, tmp_path, capsys):
     assert captured.out == ""
     assert sum(line.startswith("error:") for line in captured.err.splitlines()) == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["simulate", "--network", "THREE_LAYER", "--scheme", "generalized"],
+            "--layer is required for scheme-based commands",
+        ),
+        (
+            ["sweep-n", "--network", "THREE_LAYER", "--grid", "2.5"],
+            "relay counts must be positive integers, got 2.5",
+        ),
+        (
+            ["sweep-delta", "--network", "CANCEL", "--layer", "1", "--grid", "0.1"],
+            "received power at 2:0 is zero; no rescaling reaches the margin",
+        ),
+    ],
+    ids=["simulate-scheme-without-layer", "sweep-n-fractional-count", "sweep-delta-zero-power"],
+)
+def test_input_check_is_one_error_line(argv, message, tmp_path, capsys):
+    files = {"THREE_LAYER": str(CONFIGS / "three_layer.json"), "CANCEL": str(tmp_path / "c.json")}
+    save_network(cancelling_destination_network(), files["CANCEL"])
+    assert main([files.get(a, a) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_full_power_simulation_ignores_matched_scheme(tmp_path, capsys):
+    # The matched scheme with layer 1 is undefined here (1:0 is invisible at the
+    # destination), but full-power gains do not depend on the layer.
+    path = tmp_path / "near_cancel.json"
+    save_network(near_cancelling_network(1e-14), str(path))
+    argv = ["simulate", "--network", str(path), "--scheme", "full_power", "--layer", "1"]
+    assert main(argv + ["--samples", "20000"]) == 0
+    assert capsys.readouterr().err == ""

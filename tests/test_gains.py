@@ -4,7 +4,17 @@ import re
 import numpy as np
 import pytest
 
-from anclab import GainAssignment, gains_from_dict, gains_to_dict, propagate_coefficients
+from anclab import (
+    GainAssignment,
+    SimConfig,
+    check_feasible,
+    downstream_gains,
+    gains_from_dict,
+    gains_to_dict,
+    path_coefficient,
+    propagate_coefficients,
+    simulate,
+)
 from anclab.presets import asymmetric_three_layer, diamond_network
 from conftest import random_box_gains, random_network
 
@@ -24,8 +34,35 @@ def test_source_gain_fixed_at_one():
     net = asymmetric_three_layer()
     gains = GainAssignment.from_layers([[0.1, 0.2], [0.3, 0.4]])
     assert list(propagate_coefficients(net, gains).betas[0]) == [1.0]
-    with pytest.raises(ValueError):
-        gains.layer_array(net, net.num_layers)
+    extra = GainAssignment.from_layers([[0.1, 0.2], [0.3, 0.4], [0.5]])
+    with pytest.raises(ValueError, match="^gain assignment has 3 relay layers, network has 2$"):
+        extra.betas(net)
+
+
+READERS = {
+    "propagate_coefficients": propagate_coefficients,
+    "path_coefficient": lambda net, g: path_coefficient(net, g, net.source, net.destination),
+    "check_feasible": check_feasible,
+    "simulate": lambda net, g: simulate(net, g, SimConfig(samples=2)),
+    "gains_to_dict": gains_to_dict,
+    "downstream_gains": lambda net, g: downstream_gains(net, g, 1),
+}
+
+
+@pytest.mark.parametrize("reader", READERS.values(), ids=READERS.keys())
+@pytest.mark.parametrize(
+    "layers, message",
+    [
+        ([[0.1, 0.2]], "gain assignment has 1 relay layers, network has 2"),
+        ([[0.1, 0.2], [0.3, 0.4], [0.5]], "gain assignment has 3 relay layers, network has 2"),
+        ([[0.1], [0.3, 0.4]], "gain assignment layer 1 has 1 entries, network expects 2"),
+    ],
+    ids=["one-layer-too-few", "one-layer-too-many", "short-layer"],
+)
+def test_mismatched_assignment_is_one_error(reader, layers, message):
+    net = asymmetric_three_layer()  # two relay layers of two relays
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        reader(net, GainAssignment.from_layers(layers))
 
 
 def test_incomplete_assignment_rejected():

@@ -162,9 +162,9 @@ def kernel_cases():
 @pytest.mark.parametrize("size", BLOCK_SIZES)
 def test_block_sums_match_per_node_loop(size):
     for seed, (net, gains) in enumerate(kernel_cases()):
-        betas = [gains.layer_array(net, layer) for layer in range(1, net.num_layers)]
+        betas = gains.betas(net)
         node, dest = _block_sums(net, betas, seed, 3, size)
-        ref_node, ref_dest = per_node_block_sums(net, betas, seed, 3, size)
+        ref_node, ref_dest = per_node_block_sums(net, betas[1:], seed, 3, size)
         np.testing.assert_allclose(node, ref_node, rtol=1e-12)
         np.testing.assert_allclose(dest, ref_dest, rtol=1e-12)
 

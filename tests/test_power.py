@@ -24,8 +24,8 @@ from anclab import (
 )
 from anclab.network import coherent_power
 from anclab.power import received_powers
-from anclab.presets import chain_network, diamond_network
-from conftest import box_limits, random_box_gains, random_network
+from anclab.presets import chain_network, diamond_network, rescale_to_delta
+from conftest import box_limits, cancelling_destination_network, random_box_gains, random_network
 
 
 def test_received_power_single_relay():
@@ -57,6 +57,19 @@ def test_received_power_near_cancellation_is_zero():
     assert received_power(net, NodeId(2, 0)) == 0.0
     with pytest.raises(ValueError, match="no safe gain"):
         max_safe_gain(net, NodeId(2, 0))
+
+
+def test_source_receives_nothing():
+    net = diamond_network()
+    message = r"^layer 0 receives nothing; receiving layers are 1\.\.2$"
+    with pytest.raises(ValueError, match=message):
+        received_power(net, net.source)
+
+
+def test_rescale_to_delta_reports_zero_power_by_node():
+    message = "^received power at 2:0 is zero; no rescaling reaches the margin$"
+    with pytest.raises(ValueError, match=message):
+        rescale_to_delta(cancelling_destination_network(), 1, 0.1)
 
 
 def test_received_power_coherent_diamond():

@@ -271,9 +271,9 @@ def test_ascent_snr_is_that_of_its_gains(net, data):
 @given(networks_with_gains(signed=True), st.integers(1, 5000), st.integers(0, 2**32 - 1))
 def test_pass_wise_block_sums_match_per_node_loop(case, size, seed):
     net, gains = case
-    betas = [gains.layer_array(net, layer) for layer in range(1, net.num_layers)]
+    betas = gains.betas(net)
     node, dest = _block_sums(net, betas, seed, 0, size)
-    ref_node, ref_dest = per_node_block_sums(net, betas, seed, 0, size)
+    ref_node, ref_dest = per_node_block_sums(net, betas[1:], seed, 0, size)
     np.testing.assert_allclose(node, ref_node, rtol=1e-12)
     np.testing.assert_allclose(dest, ref_dest, rtol=1e-12)
 
@@ -294,7 +294,6 @@ def _relay_layer_calls(net, layer):
         "lower_bound_terms": lambda: lower_bound_terms(net, spec, params),
         "rank_one_cutset": lambda: rank_one_cutset(net, spec),
         "rescale_to_delta": lambda: rescale_to_delta(net, layer, 0.1),
-        "GainAssignment.layer_array": lambda: full.layer_array(net, layer),
         "safe_gains": lambda: safe_gains(net, layer),
         "CodingState.transmit_powers": lambda: state.transmit_powers(layer),
         "downstream_gains": lambda: downstream_gains(net, full, layer),
