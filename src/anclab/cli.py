@@ -9,7 +9,8 @@ validation or usage error, 2 a requested check failed.
 
 --layer names the exceptional layer, a relay layer 1..L-1.  A network with
 no weak relay layer is the case of Maric et al. [4]: --scheme full_power,
-with the high_snr_lower_bound column as its bound.
+with the high_snr_lower_bound column as its bound.  simulate takes --layer
+only with --scheme generalized, the one gain source that reads it.
 """
 
 from __future__ import annotations
@@ -120,11 +121,13 @@ def cmd_bounds(args) -> int:
 
 def cmd_simulate(args) -> int:
     net = _load_net(args.network)
-    if args.scheme is not None:
-        spec = _regime(net, args.layer)  # checked, though full-power gains ignore it
-        gains = full_power_gains(net) if args.scheme == "full_power" else matched_gains(net, spec)[0]
+    if args.scheme == "generalized":
+        gains, _ = matched_gains(net, _regime(net, args.layer))
     elif args.layer is not None:
-        raise CliError("--layer applies to --scheme, not to --gains")
+        used = f"--scheme {args.scheme}" if args.scheme else "--gains"
+        raise CliError(f"--layer applies to --scheme generalized, not to {used}")
+    elif args.scheme == "full_power":
+        gains = full_power_gains(net)
     else:
         try:
             gains = load_gains(net, args.gains)

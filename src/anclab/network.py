@@ -6,9 +6,10 @@ described by one real gain matrix per hop.  Every node adds unit-variance
 Gaussian noise; every transmitting node has a linear power budget.
 
 The network is frozen, so what depends on it alone is computed once per
-instance: received_powers, the full-budget coherent received power of every
-layer, is evaluated on first access, kept on the instance and handed out as
-read-only arrays.
+instance, on first access, and kept on it: received_powers, the full-budget
+coherent received power of every layer, handed out as read-only arrays; the
+smallest of each layer (least_received_powers); and each relay layer's
+safe-gain box without a uniform margin (safe_boxes).
 """
 
 from __future__ import annotations
@@ -36,6 +37,12 @@ def coherent_power(h: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     power = total * total
     power.flags.writeable = False
     return power
+
+
+def safe_box(budgets: np.ndarray, p_r: np.ndarray, margin) -> np.ndarray:
+    """sqrt(P_k / ((1 + margin) * P_R)): the largest |beta| of each relay for which
+    the received-power sufficient condition keeps its transmit budget."""
+    return np.sqrt(budgets / ((1.0 + margin) * p_r))
 
 
 class NetworkValidationError(ValueError):
@@ -123,6 +130,28 @@ class LayeredNetwork:
         amplitudes = [np.array([math.sqrt(self.source_power)])]
         amplitudes += [np.sqrt(budgets) for budgets in self.relay_budgets]
         return tuple(map(coherent_power, self.gain_matrices, amplitudes))
+
+    @cached_property
+    def least_received_powers(self) -> tuple[float, ...]:
+        """Smallest received power of each of layers 1..L, entry l-1 for layer l;
+        exactly 0.0 where a node of the layer receives zero power."""
+        return tuple(float(p.min()) if p.all() else 0.0 for p in self.received_powers)
+
+    @cached_property
+    def safe_boxes(self) -> tuple[np.ndarray | None, ...]:
+        """safe_box of relay layers 1..L-1 with each relay's own margin 1/P_R, read-only.
+
+        Entry l-1 belongs to layer l; it is None where a relay of the layer
+        receives zero power, so no box exists.
+        """
+        boxes = []
+        for budgets, p_r in zip(self.relay_budgets, self.received_powers):
+            box = None
+            if p_r.all():
+                box = safe_box(budgets, p_r, 1.0 / p_r)
+                box.flags.writeable = False
+            boxes.append(box)
+        return tuple(boxes)
 
 
 def build_network(

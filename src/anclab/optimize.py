@@ -5,12 +5,16 @@ other gain fixed, the SNR is a ratio of quadratics in one gain whose
 stationary condition is linear, so each step compares the exact interior
 optimum with the box ends.  Gains of layer l do not change its source vector
 s_l, the transfer matrix T_l from upstream relay noises, or its destination
-row r_l, so a sweep builds those once per layer and steps through the
-layer's relays on them with O(R) rank-one updates.  The sweep's forward
-pass, one hop on, gives the SNR bit for bit as a fresh propagation would; a
-start still improving after max_iterations sweeps logs a warning.  The
-closed-form schemes are always starting points, so the result never falls
-below them.
+row r_l.  The noise of layer l and of everything upstream reaches the
+destination with power v^T K v, where v = r_l * beta_l and K = T_l T_l^T + I
+is the layer's noise Gram matrix, and the layers downstream add a fixed
+rest.  So a sweep builds K with one matmul per layer, and each relay step is
+O(W) scalar work on K's row and u = K v, for a layer of W relays.  The gains
+alone set the reported SNR: the sweep's forward pass, one hop on, gives it
+bit for bit as a fresh propagation would.  Each start logs its sweep count
+and final SNR at DEBUG on this module's logger, and a start still improving
+after max_iterations sweeps logs a warning.  The closed-form schemes are
+always starting points, so the result never falls below them.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from .gains import GainAssignment
 from .network import LayeredNetwork, RegimeSpec, require_int_fields
 from .power import safe_gains
 from .schemes import matched_gains
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -45,60 +51,70 @@ def _best_gain(a0, a1, q0, q1, q2, box, power) -> float:
     """Exact maximizer of (a0 + a1 b)^2 power / (q0 + q1 b + q2 b^2) over b in [-box, box].
 
     The stationary equation reduces to a linear one after factoring out the
-    signal zero, so the interior optimum is compared with the box ends.
+    signal zero, so the interior optimum is compared with the box ends: the
+    positive end first, so sign-symmetric ties stay positive, and a later
+    candidate only when its SNR is strictly higher.
     """
-
-    def snr(b: float) -> float:
-        sig = a0 + a1 * b
-        return sig * sig * power / (q0 + q1 * b + q2 * b * b)
-
-    candidates = [box, -box]  # positive end first so sign-symmetric ties stay positive
+    sig = a0 + a1 * box
+    best, best_snr = box, sig * sig * power / (q0 + q1 * box + q2 * box * box)
+    sig = a0 - a1 * box
+    snr = sig * sig * power / (q0 - q1 * box + q2 * box * box)
+    if snr > best_snr:
+        best, best_snr = -box, snr
     slope = a1 * q1 - 2.0 * a0 * q2
-    intercept = a0 * q1 - 2.0 * a1 * q0
     if slope != 0.0:  # guards the division only: a stationary point must beat both ends
-        stationary = intercept / slope
-        if -box < stationary < box:
-            candidates.append(stationary)
-    return max(candidates, key=snr)
+        b = (a0 * q1 - 2.0 * a1 * q0) / slope
+        if -box < b < box:
+            sig = a0 + a1 * b
+            if sig * sig * power / (q0 + q1 * b + q2 * b * b) > best_snr:
+                best = b
+    return best
 
 
 def _sweep_layer(net, betas, layer, box, forward, rows, choose=_best_gain):
     """Coordinate steps over one layer's relays in index order, in place.
 
     forward is (s_l, T_l) from coding.forward_hop.  Relay i adds beta_i s_i r_i
-    to the destination signal f and beta_i r_i (T_l[i], e_i) to its noise
-    coefficients, so each step reads its affine coefficients off f and the
-    noise vector and updates both by a rank-one step; choose(a0, a1, q0, q1,
-    q2, box_i, power) picks the new gain.  Returns f and the noise vector.
+    to the destination signal f.  With v = r * beta, the noise of this layer
+    and of everything upstream reaches the destination with power v^T K v,
+    K = T_l T_l^T + I, and the layers downstream add the fixed rest.  So the
+    sweep keeps f, u = K v and Q = v^T u, reads each step's affine
+    coefficients off them in scalar work, and updates u by row i of K (K is
+    symmetric); choose(a0, a1, q0, q1, q2, box_i, power) picks the new gain.
+    Returns f and the destination noise power.
     """
     source, transfer = forward
     r, beta = rows[layer], betas[layer]
-    upstream = transfer.shape[1]
-    noise = np.concatenate(
-        [(r * beta) @ transfer]
-        + [betas[m] * rows[m] for m in range(layer, net.num_layers)]
-    )
-    up, own = noise[:upstream], noise[upstream : upstream + beta.size]
+    gram = transfer @ transfer.T
+    gram.flat[:: gram.shape[0] + 1] += 1.0  # K = T T^T + I
+    v = r * beta
+    u = gram @ v
+    quad = float(v @ u)
+    u = u.tolist()
+    rest = 1.0
+    for m in range(layer + 1, net.num_layers):
+        w = betas[m] * rows[m]
+        rest += float(w @ w)
     f = float((beta * source) @ r)
     power = net.source_power
-    steps = r[:, np.newaxis] * transfer  # row i: relay i's noise-coefficient step per unit gain
-    q2s = np.vecdot(steps, steps) + r * r
-    for i, (s_i, r_i, b_i, box_i, q2) in enumerate(
-        zip(source.tolist(), r.tolist(), beta.tolist(), box.tolist(), q2s.tolist())
+    for i, (k, s_i, r_i, b_i, box_i) in enumerate(
+        zip(gram.tolist(), source.tolist(), r.tolist(), beta.tolist(), box.tolist())
     ):
-        d_up = steps[i]
+        k_ii = k[i]
+        v_i = r_i * b_i
+        c = u[i] - k_ii * v_i  # sum over j != i of K_ij v_j
         a1 = s_i * r_i
         a0 = f - b_i * a1
-        up -= b_i * d_up
-        own[i] = 0.0
-        q0 = float(noise @ noise) + 1.0
-        q1 = 2.0 * float(up @ d_up)
-        b = choose(a0, a1, q0, q1, q2, box_i, power)
-        up += b * d_up
-        own[i] = b * r_i
+        own = quad - v_i * (2.0 * c + k_ii * v_i)  # Q without relay i's noise
+        q1 = 2.0 * r_i * c
+        q2 = r_i * r_i * k_ii
+        b = choose(a0, a1, own + rest, q1, q2, box_i, power)
+        step = r_i * b - v_i
+        u = [u_j + step * k_j for u_j, k_j in zip(u, k)]
+        quad = own + b * (q1 + q2 * b)
         f = a0 + b * a1
         beta[i] = b
-    return f, noise
+    return f, quad + rest
 
 
 def _ascend(net, start_layers, boxes, max_iterations, tolerance, start=0):
@@ -123,7 +139,8 @@ def _ascend(net, start_layers, boxes, max_iterations, tolerance, start=0):
             break
     else:
         message = "start %d stopped at max_iterations=%d before converging: SNR %r -> %r"
-        logging.getLogger(__name__).warning(message, start, max_iterations, *snrs[-2:])
+        _log.warning(message, start, max_iterations, *snrs[-2:])
+    _log.debug("start %d: %d sweeps, SNR %r", start, sweep, snrs[-1])
     return betas[1:], snrs[-1]
 
 

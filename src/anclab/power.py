@@ -14,7 +14,11 @@ the first such node; max_safe_gain and node_delta check their own node.
 
 safe_gains(layer) is the box: the largest amplification magnitude for which
 the received-power sufficient condition guarantees each relay's transmit
-budget.  The per-node functions read single entries of these two arrays.
+budget.  With each relay's own margin 1/P_R it too depends on the network
+alone, so it is read from the network's cache (LayeredNetwork.safe_boxes),
+as power_margin and regime_delta read each layer's smallest received power
+(LayeredNetwork.least_received_powers); only a uniform margin delta builds a
+fresh box.  The per-node functions read single entries of these arrays.
 The condition is one-directional: exact_transmit_power computes the true
 second moment from the coding state so the two can be compared, and
 check_feasible reports both verdicts side by side.  Its report holds one
@@ -33,7 +37,7 @@ import numpy as np
 
 from .coding import CodingState, propagate_coefficients
 from .gains import GainAssignment
-from .network import LayeredNetwork, NodeId, RegimeSpec
+from .network import LayeredNetwork, NodeId, RegimeSpec, safe_box
 from .report import as_json, records_csv
 
 
@@ -56,13 +60,16 @@ def safe_gains(net: LayeredNetwork, layer: int, delta: float | None = None) -> n
     """Largest |beta| of every relay of a layer under the sufficient power condition.
 
     Equals sqrt(P_k / ((1 + delta_k) * P_R)) with P_R the received power and
-    delta_k = 1/P_R, or a uniform margin delta when one is given.
+    delta_k = 1/P_R, read-only from the network's cache, or a fresh array for
+    a uniform margin delta when one is given.
     """
     net.require_relay_layer(layer)
-    p_r = received_powers(net, layer)
-    require_power(layer, p_r, "no safe gain exists")
-    margin = 1.0 / p_r if delta is None else delta
-    return np.sqrt(net.relay_budgets[layer - 1] / ((1.0 + margin) * p_r))
+    box = net.safe_boxes[layer - 1]
+    if box is None:
+        require_power(layer, received_powers(net, layer), "no safe gain exists")
+    if delta is None:
+        return box
+    return safe_box(net.relay_budgets[layer - 1], net.received_powers[layer - 1], delta)
 
 
 def received_power(net: LayeredNetwork, k: NodeId) -> float:
@@ -83,8 +90,10 @@ def power_margin(net: LayeredNetwork, layers: Iterable[int]) -> float:
     worst = math.inf
     for layer in layers:
         p = received_powers(net, layer)
-        require_power(layer, p, "regime margin undefined")
-        worst = min(worst, float(p.min()))
+        least = net.least_received_powers[layer - 1]
+        if least == 0.0:
+            require_power(layer, p, "regime margin undefined")
+        worst = min(worst, least)
     return 1.0 / worst
 
 

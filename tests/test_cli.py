@@ -166,7 +166,7 @@ def test_bad_z_threshold_rejected(chain_file, z, capsys):
     with pytest.raises(ValueError, match="z_threshold"):
         agreement_check(report, analytic_moments(net, gains), z_threshold=float(z))
     code = main(
-        ["simulate", "--network", chain_file, "--scheme", "full_power", "--layer", "1",
+        ["simulate", "--network", chain_file, "--scheme", "full_power",
          "--samples", "1000", "--z", z]
     )
     assert code == 1
@@ -445,6 +445,7 @@ def test_sweep_n_refuses_huge_relay_counts(grid, monkeypatch, capsys):
         ["simulate", "--gains", "GAINS", "--layer", "7"],
         ["simulate", "--gains", "GAINS", "--layer", "1"],
         ["simulate", "--layer", "1"],
+        ["simulate", "--scheme", "full_power", "--layer", "1"],
     ],
     ids=[
         "bounds-restarts-0",
@@ -453,6 +454,7 @@ def test_sweep_n_refuses_huge_relay_counts(grid, monkeypatch, capsys):
         "simulate-gains-with-bad-layer",
         "simulate-gains-with-layer",
         "simulate-neither-gains-nor-scheme",
+        "simulate-full-power-with-layer",
     ],
 )
 def test_option_without_effect_is_rejected(argv, chain_file, tmp_path, capsys):
@@ -502,6 +504,13 @@ def test_full_power_simulation_ignores_matched_scheme(tmp_path, capsys):
     # destination), but full-power gains do not depend on the layer.
     path = tmp_path / "near_cancel.json"
     save_network(near_cancelling_network(1e-14), str(path))
-    argv = ["simulate", "--network", str(path), "--scheme", "full_power", "--layer", "1"]
+    argv = ["simulate", "--network", str(path), "--scheme", "full_power"]
     assert main(argv + ["--samples", "20000"]) == 0
     assert capsys.readouterr().err == ""
+    # --layer has no effect on full-power gains, so it is rejected.
+    assert main(argv + ["--layer", "1", "--samples", "20000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --layer applies to --scheme generalized, not to --scheme full_power\n"
+    )

@@ -122,3 +122,23 @@ def test_unconverged_start_logs_warning(caplog):
     with caplog.at_level(logging.WARNING, logger="anclab.optimize"):
         optimize_gains(net, OptimizerConfig())
     assert not caplog.records
+
+
+def test_each_start_logs_one_debug_line(caplog, capsys):
+    net = asymmetric_three_layer()
+    config = OptimizerConfig(restarts=3, seed=5)
+    _, snr = optimize_gains(net, config)
+    assert capsys.readouterr().err == ""  # DEBUG lines stay silent by default
+    with caplog.at_level(logging.DEBUG, logger="anclab.optimize"):
+        _, logged_snr = optimize_gains(net, config)
+    assert logged_snr == snr
+    records = [r for r in caplog.records if r.name == "anclab.optimize"]
+    assert all(r.levelno == logging.DEBUG for r in records)
+    # full power, one matched start per feasible exceptional layer, the restarts
+    assert 1 + config.restarts < len(records) <= net.num_layers + config.restarts
+    assert [r.args[0] for r in records] == list(range(len(records)))
+    for record in records:
+        start, sweeps, final = record.args
+        assert 1 <= sweeps <= config.max_iterations and final <= snr
+        assert record.getMessage() == f"start {start}: {sweeps} sweeps, SNR {final!r}"
+    assert max(r.args[2] for r in records) == snr

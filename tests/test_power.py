@@ -23,7 +23,7 @@ from anclab import (
     regime_delta,
 )
 from anclab.network import coherent_power
-from anclab.power import received_powers
+from anclab.power import power_margin, received_powers, safe_gains
 from anclab.presets import chain_network, diamond_network, rescale_to_delta
 from conftest import box_limits, cancelling_destination_network, random_box_gains, random_network
 
@@ -101,6 +101,38 @@ def test_received_powers_cached_read_only_and_fresh():
                 powers[0] = 1.0
             fresh = coherent_power(net.gain_matrices[layer - 1], amplitudes[layer - 1])
             np.testing.assert_array_equal(powers, fresh)
+
+
+def test_safe_boxes_and_least_powers_cached_read_only_and_fresh():
+    rng = np.random.default_rng(9)
+    for n in range(20):
+        net = random_network(rng, coherent=bool(n % 2))
+        for layer, p in enumerate(net.received_powers, start=1):
+            assert net.least_received_powers[layer - 1] == (float(p.min()) if p.all() else 0.0)
+        for layer in range(1, net.num_layers):
+            p = net.received_powers[layer - 1]
+            if not p.all():
+                assert net.safe_boxes[layer - 1] is None
+                continue
+            box = safe_gains(net, layer)
+            assert box is net.safe_boxes[layer - 1] and not box.flags.writeable
+            fresh = np.sqrt(net.relay_budgets[layer - 1] / ((1.0 + 1.0 / p) * p))
+            np.testing.assert_array_equal(box, fresh)
+
+
+def test_cached_box_and_margin_keep_zero_power_errors():
+    sum_in = [[1.0], [1.0], [1.0]]  # 2:0 receives the residue of 0.1 + 0.2 - 0.3
+    net = build_network([1, 3, 1, 1], [sum_in, [[0.1, 0.2, -0.3]], [[1.0]]], [1.0] * 4, 1.0)
+    for delta in (None, 0.1):
+        with pytest.raises(ValueError, match="^received power at 2:0 is zero; no safe gain"):
+            safe_gains(net, 2, delta)
+    message = "^received power at 2:0 is zero; regime margin undefined$"
+    with pytest.raises(ValueError, match=message):
+        regime_delta(net, RegimeSpec(exceptional_layer=1))
+    with pytest.raises(ValueError, match=message):
+        power_margin(net, [1, 2, 3])
+    with pytest.raises(ValueError, match="^layer 0 receives nothing"):
+        power_margin(net, [0])
 
 
 def test_analyze_pipeline_evaluates_each_layer_once(monkeypatch):

@@ -13,7 +13,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -236,7 +236,7 @@ def test_layer_sweep_matches_fresh_propagation(case, data):
         return b
 
     rows = destination_rows(net, betas)
-    f, noise = _sweep_layer(net, betas, layer, box, forward, rows, recording)
+    f, noise_power = _sweep_layer(net, betas, layer, box, forward, rows, recording)
     assert len(steps) == net.layer_sizes[layer]
     for got, want, scale in steps:
         # Signal pair and noise triple, each against its own magnitude.
@@ -245,8 +245,52 @@ def test_layer_sweep_matches_fresh_propagation(case, data):
     fresh_f, fresh_noise = _destination_coefficients(net, betas)
     abs_f, abs_noise = _destination_coefficients(abs_net, abs_betas)
     assert abs(f - fresh_f) <= 1e-12 * max(1.0, abs_f)
-    assert np.all(np.abs(noise - fresh_noise) <= 1e-12 * np.maximum(1.0, abs_noise))
+    fresh_power = fresh_noise @ fresh_noise + 1.0
+    assert abs(noise_power - fresh_power) <= 1e-12 * (abs_noise @ abs_noise + 1.0)
 
+
+
+def _reference_best_gain(a0, a1, q0, q1, q2, box, power):
+    """The candidate rule as a max over a list: +box, -box, then an interior
+    stationary point; max keeps the first of equal SNRs."""
+
+    def snr(b):
+        sig = a0 + a1 * b
+        return sig * sig * power / (q0 + q1 * b + q2 * b * b)
+
+    candidates = [box, -box]
+    slope = a1 * q1 - 2.0 * a0 * q2
+    if slope != 0.0:
+        stationary = (a0 * q1 - 2.0 * a1 * q0) / slope
+        if -box < stationary < box:
+            candidates.append(stationary)
+    return max(candidates, key=snr)
+
+
+# Small integers make exact ties and zero slopes common; arbitrary floats do the rest.
+_STEP_VALUES = st.one_of(st.integers(-3, 3).map(float), st.floats(-10.0, 10.0))
+
+
+@PROPERTY_SETTINGS
+@given(
+    a0=_STEP_VALUES,
+    a1=_STEP_VALUES,
+    x=_STEP_VALUES,
+    y=_STEP_VALUES,
+    box=st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.01, 10.0)),
+    power=st.floats(0.5, 4.0),
+)
+@example(a0=0.0, a1=1.0, x=0.0, y=1.0, box=1.0, power=1.0)  # tie: SNR even in b
+@example(a0=1.0, a1=0.0, x=0.0, y=1.0, box=1.0, power=1.0)  # ends tie, optimum at -0.0
+@example(a0=1.0, a1=1.0, x=0.0, y=0.0, box=1.0, power=1.0)  # slope == 0
+@example(a0=0.0, a1=0.0, x=1.0, y=1.0, box=1.0, power=1.0)  # no signal: all SNRs 0
+def test_best_gain_matches_max_over_candidates(a0, a1, x, y, box, power):
+    # The noise 1 + (x + y b)^2 is a step's q0 + q1 b + q2 b^2, positive like a
+    # real destination noise power.
+    q0, q1, q2 = 1.0 + x * x, 2.0 * x * y, y * y
+    got = _best_gain(a0, a1, q0, q1, q2, box, power)
+    want = _reference_best_gain(a0, a1, q0, q1, q2, box, power)
+    assert repr(got) == repr(want)  # the same float, sign of zero included
 
 
 @PROPERTY_SETTINGS
