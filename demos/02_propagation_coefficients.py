@@ -1,9 +1,11 @@
 """Signal and noise propagation coefficients.
 
 Every reception is a linear combination of the source symbol and all noises
-injected upstream.  The layered sweep computes every coefficient as
-per-layer arrays, one forward and one backward pass; brute-force path
-enumeration recomputes any one of them as an independent cross-check.
+injected upstream.  The layered sweeps compute every coefficient as
+per-layer arrays: propagate_coefficients is the forward pass, and
+destination_rows the backward pass from every layer to the destination.
+Brute-force path enumeration recomputes any one of them as an independent
+cross-check.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ from anclab import (
     path_coefficient,
     propagate_coefficients,
 )
+from anclab.coding import destination_rows
 
 rng = np.random.default_rng(7)
 net = build_network(
@@ -27,11 +30,12 @@ net = build_network(
 gains = GainAssignment.from_layers([rng.uniform(-1.0, 1.0, 3), rng.uniform(-1.0, 1.0, 2)])
 
 state = propagate_coefficients(net, gains)
+rows = destination_rows(net, state.betas)
 d = net.destination
 print(f"signal coefficient at the destination: {state.source[-1][0]:+.6f}")
 for origin in net.relays():
     o, i = origin.layer, origin.index
-    scale = state.betas[o][i] * state.rows[o][i]
+    scale = state.betas[o][i] * rows[o][i]
     print(f"  noise from {origin} arrives scaled by {scale:+.6f}")
 
 # the destination's second moment decomposes into signal + noise + own noise

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import CodingState, destination_rows, propagate_coefficients
+from .coding import CodingState, propagate_coefficients, visible_rows
 from .gains import GainAssignment
-from .network import _CANCEL_RTOL, LayeredNetwork, RegimeSpec
+from .network import LayeredNetwork, RegimeSpec
 from .power import power_margin, received_power, received_powers, regime_delta
 from .report import as_json, records_csv
 from .schemes import SchemeParams
@@ -52,18 +52,15 @@ def ideal_snr(net: LayeredNetwork, gains: GainAssignment, noisy_layer: int) -> f
 
     All other noise sources, including the destination's own, are zeroed;
     this idealization can only raise the SNR, so it dominates the true one
-    for any gain assignment.  A noise coefficient no larger than 1e-12 times
-    the same product taken on |H| and |beta| is cancellation residue and
-    counts as zero.
+    for any gain assignment.  The noisy layer's destination coefficients are
+    betas[l] * visible_rows(...)[l]: the backward sweep, with a row entry no
+    larger than 1e-12 times the same sweep on |H| and |beta| counted as
+    cancelled, the rule the matched scheme applies too.
     """
     net.require_relay_layer(noisy_layer, "noisy layer")
     state = propagate_coefficients(net, gains)
     f = float(state.source[-1][0])
-    beta = state.betas[noisy_layer]
-    noise = beta * state.rows[noisy_layer]
-    abs_rows = destination_rows(net, [*map(np.abs, state.betas)], [*map(np.abs, net.gain_matrices)])
-    scale = np.abs(beta) * abs_rows[noisy_layer]
-    noise[np.abs(noise) <= _CANCEL_RTOL * scale] = 0.0
+    noise = state.betas[noisy_layer] * visible_rows(net, state.betas)[noisy_layer]
     denom = float(noise @ noise)
     if denom == 0.0:
         raise ValueError(f"no noise from layer {noisy_layer} reaches the destination")

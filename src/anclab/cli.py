@@ -16,6 +16,7 @@ only with --scheme generalized, the one gain source that reads it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -25,14 +26,7 @@ import numpy as np
 from .bounds import anc_rate, bounds_report, destination_snr, rate_lower_bound, rate_upper_bound
 from .gains import gains_to_dict, load_gains
 from .montecarlo import SimConfig, agreement_check, analytic_moments, simulate
-from .network import (
-    LayeredNetwork,
-    NetworkValidationError,
-    RegimeSpec,
-    load_network,
-    network_from_dict,
-    network_to_dict,
-)
+from .network import LayeredNetwork, NetworkValidationError, RegimeSpec, load_network
 from .optimize import OptimizerConfig, optimize_gains
 from .power import check_feasible
 from .presets import replicate_last_relay_layer, rescale_to_delta
@@ -180,7 +174,7 @@ def cmd_sweep_ps(args) -> int:
     def row(base, p_s):
         if p_s <= 0:
             raise CliError("source powers must be positive")
-        net = network_from_dict({**network_to_dict(base), "source_power": p_s})
+        net = dataclasses.replace(base, source_power=p_s)  # finite by _grid, positive above
         matched, params = matched_gains(net, spec)
         rate_matched = anc_rate(destination_snr(net, matched))
         rate_full = anc_rate(destination_snr(net, full_power_gains(net)))

@@ -7,11 +7,13 @@ the sum over all relay paths of the per-hop products beta * h, with the
 origin's own amplification included (the source has beta fixed at 1).
 
 In matrix form one hop is A_l = H_l diag(beta_l).  propagate_coefficients
-runs one forward sweep (forward_hop) that carries the source vector
+is the forward sweep only (forward_hop): it carries the source vector
 s_{l+1} = A_l s_l and the transfer matrix from every upstream relay noise
-to layer l+1, whose squared row sums give the propagated noise power, plus
-one backward sweep for the destination rows r_l (the coefficient from a
-layer-l transmission to the destination).  These per-layer arrays are the
+to layer l+1, whose squared row sums give the propagated noise power.
+destination_rows is the backward sweep, run where its rows r_l (the
+coefficient from a layer-l transmission to the destination) are read;
+visible_rows is the same sweep with cancellation residue dropped by the
+one residue rule, network.drop_residue.  These per-layer arrays are the
 interface: callers index them by layer and node, and no per-node accessor
 re-derives an entry.  path_coefficient is the one oracle: it recomputes a
 single coefficient by brute-force path enumeration from the hop matrices
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gains import GainAssignment
-from .network import LayeredNetwork, NodeId
+from .network import LayeredNetwork, NodeId, drop_residue
 
 
 class TooManyPathsError(RuntimeError):
@@ -37,26 +39,24 @@ MAX_ENUMERATED_PATHS = 10**6
 
 @dataclass(frozen=True)
 class CodingState:
-    """Propagation quantities of a network under one gain assignment.
+    """Forward propagation quantities of a network under one gain assignment.
 
     The array fields are the interface, each a tuple indexed by layer and
     then by node index:
       betas[l]   GainAssignment.betas(net): gains of layers 0..L-1, the source's 1;
       source[l]  coefficient of the source symbol at layer l, l = 0..L;
       noise[l]   propagated-plus-local noise power at layer l, unit noise
-                 variances (0 at the source, which receives nothing);
-      rows[l]    coefficient from a layer-l transmission to the destination,
-                 the node's own gain excluded, l = 0..L-1.
-    So the destination's signal coefficient is source[-1][0], its noise
-    power noise[-1][0], and a relay (l, i)'s noise reaches the destination
-    scaled by betas[l][i] * rows[l][i].  path_coefficient checks them.
+                 variances (0 at the source, which receives nothing).
+    So the destination's signal coefficient is source[-1][0] and its noise
+    power noise[-1][0].  A relay (l, i)'s noise reaches the destination
+    scaled by betas[l][i] * destination_rows(net, betas)[l][i], the backward
+    sweep that this state does not run.  path_coefficient checks them.
     """
 
     net: LayeredNetwork
     betas: tuple[np.ndarray, ...]
     source: tuple[np.ndarray, ...]
     noise: tuple[np.ndarray, ...]
-    rows: tuple[np.ndarray, ...]
 
     def transmit_powers(self, layer: int) -> np.ndarray:
         """True second moment beta^2 E[y^2] of every relay of a layer, where
@@ -80,6 +80,13 @@ def destination_rows(net: LayeredNetwork, betas, matrices=None) -> list[np.ndarr
     return [row[0] for row in reversed(rows)]
 
 
+def visible_rows(net: LayeredNetwork, betas) -> list[np.ndarray]:
+    """destination_rows with cancellation residue set to 0.0: an entry no larger
+    than 1e-12 times the same sweep on |H| and |beta| cancels exactly."""
+    scale = destination_rows(net, [*map(np.abs, betas)], [*map(np.abs, net.gain_matrices)])
+    return [*map(drop_residue, destination_rows(net, betas), scale)]
+
+
 def forward_hop(net: LayeredNetwork, betas, layer: int, source, transfer):
     """Source vector and noise transfer matrix one hop on, at layer + 1.
 
@@ -94,7 +101,7 @@ def forward_hop(net: LayeredNetwork, betas, layer: int, source, transfer):
 
 
 def propagate_coefficients(net: LayeredNetwork, gains: GainAssignment) -> CodingState:
-    """Source vectors, noise powers and destination rows of every layer."""
+    """Source vectors and noise powers of every layer, by the forward sweep alone."""
     betas = gains.betas(net)
     source = [np.ones(1)]
     noise = [np.zeros(1)]
@@ -103,13 +110,7 @@ def propagate_coefficients(net: LayeredNetwork, gains: GainAssignment) -> Coding
         s, transfer = forward_hop(net, betas, layer, source[-1], transfer)
         source.append(s)
         noise.append((transfer * transfer).sum(axis=1) + 1.0)
-    return CodingState(
-        net=net,
-        betas=betas,
-        source=tuple(source),
-        noise=tuple(noise),
-        rows=tuple(destination_rows(net, betas)),
-    )
+    return CodingState(net=net, betas=betas, source=tuple(source), noise=tuple(noise))
 
 
 def count_paths(net: LayeredNetwork, origin: NodeId, target: NodeId) -> int:

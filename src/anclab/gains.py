@@ -67,14 +67,14 @@ def gains_from_dict(net: LayeredNetwork, data: dict) -> GainAssignment:
     if not isinstance(beta, dict):
         raise ValueError('"beta" must map "layer:index" keys to gains')
     layers = [np.zeros(size) for size in net.layer_sizes[1:-1]]
+    relays = set(net.relays())
     named: set[NodeId] = set()
     for key, value in beta.items():
         try:
             node = NodeId.parse(str(key))
         except ValueError:
             raise ValueError(f"gain key {key!r} is not of the form layer:index") from None
-        relay_layer = 1 <= node.layer < net.num_layers
-        if not (relay_layer and 0 <= node.index < net.layer_sizes[node.layer]):
+        if node not in relays:
             raise ValueError(f"gain key {key!r} names no relay node")
         if node in named:
             raise ValueError(f"gain key {key!r} names relay {node} a second time")

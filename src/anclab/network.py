@@ -10,6 +10,11 @@ instance, on first access, and kept on it: received_powers, the full-budget
 coherent received power of every layer, handed out as read-only arrays; the
 smallest of each layer (least_received_powers); and each relay layer's
 safe-gain box without a uniform margin (safe_boxes).
+
+Signed gains can cancel.  drop_residue is the one rule for when they do: a
+signed sum no larger than 1e-12 times the same sum on magnitudes is exactly
+zero.  coherent_power applies it to received powers, and coding.visible_rows
+to destination rows, which the matched scheme and ideal_snr read.
 """
 
 from __future__ import annotations
@@ -30,10 +35,16 @@ import numpy as np
 _CANCEL_RTOL = 1e-12
 
 
+def drop_residue(values: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """A new array of values, each entry no larger than 1e-12 * scale set to 0.0:
+    the one cancellation rule, scale being the same sum taken on magnitudes."""
+    return np.where(np.abs(values) <= _CANCEL_RTOL * scale, 0.0, values)
+
+
 def coherent_power(h: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
     """Read-only (sum_j h[k,j] a_j)^2 of every row k, cancellation residue set to zero."""
-    total = np.vecdot(h, amplitudes)  # one dot per row, as a scalar per-node sum would
-    total[np.abs(total) <= _CANCEL_RTOL * (np.abs(h) @ amplitudes)] = 0.0
+    # np.vecdot takes one dot per row, as a scalar per-node sum would.
+    total = drop_residue(np.vecdot(h, amplitudes), np.abs(h) @ amplitudes)
     power = total * total
     power.flags.writeable = False
     return power

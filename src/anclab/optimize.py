@@ -11,16 +11,16 @@ is the layer's noise Gram matrix, and the layers downstream add a fixed
 rest.  So a sweep builds K with one matmul per layer, and each relay step is
 O(W) scalar work on K's row and u = K v, for a layer of W relays.  The gains
 alone set the reported SNR: the sweep's forward pass, one hop on, gives it
-bit for bit as a fresh propagation would.  Each start logs its sweep count
-and final SNR at DEBUG on this module's logger, and a start still improving
-after max_iterations sweeps logs a warning.  The closed-form schemes are
-always starting points, so the result never falls below them.
+bit for bit as a fresh propagation would.  A start stops when a sweep raises
+the SNR by a relative 1e-10 or less, or after 200 sweeps; each start logs
+its sweep count and final SNR at DEBUG on this module's logger, and a start
+still improving after the last sweep logs a warning.  The closed-form
+schemes are always starting points, so the result never falls below them.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,18 +33,17 @@ from .schemes import matched_gains
 
 _log = logging.getLogger(__name__)
 
+_MAX_SWEEPS = 200  # per start
+_TOLERANCE = 1e-10  # a sweep gaining no more than this relative SNR ends its start
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     restarts: int = 6
-    max_iterations: int = 200
-    tolerance: float = 1e-10
     seed: int = 0
 
     def __post_init__(self) -> None:
-        require_int_fields(self, (("restarts", 1), ("max_iterations", 1), ("seed", 0)))
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError(f"tolerance must be positive and finite, got {self.tolerance!r}")
+        require_int_fields(self, (("restarts", 1), ("seed", 0)))
 
 
 def _best_gain(a0, a1, q0, q1, q2, box, power) -> float:
@@ -117,8 +116,9 @@ def _sweep_layer(net, betas, layer, box, forward, rows, choose=_best_gain):
     return f, quad + rest
 
 
-def _ascend(net, start_layers, boxes, max_iterations, tolerance, start=0):
-    """Coordinate sweeps from start number start; returns (beta_layers, snr).
+def _ascend(net, start_layers, boxes, max_iterations, start=0):
+    """At most max_iterations coordinate sweeps from start number start;
+    returns (beta_layers, snr).
 
     Sweep 0 only propagates.  Sweeping layer l changes no gain past it, so a
     sweep's rows stay valid and its forward pass ends under the final gains.
@@ -135,7 +135,7 @@ def _ascend(net, start_layers, boxes, max_iterations, tolerance, start=0):
         source, transfer = forward_hop(net, betas, net.num_layers - 1, *forward)
         f = float(source[0])  # as propagate_coefficients and destination_snr round
         snrs.append(f * f * net.source_power / float((transfer * transfer).sum(axis=1)[0] + 1.0))
-        if sweep and snrs[-1] <= snrs[-2] * (1.0 + tolerance):
+        if sweep and snrs[-1] <= snrs[-2] * (1.0 + _TOLERANCE):
             break
     else:
         message = "start %d stopped at max_iterations=%d before converging: SNR %r -> %r"
@@ -168,7 +168,7 @@ def optimize_gains(
 
     best_layers, best_snr = None, -1.0
     for index, start in enumerate(starts):
-        layers, snr = _ascend(net, start, boxes, config.max_iterations, config.tolerance, index)
+        layers, snr = _ascend(net, start, boxes, _MAX_SWEEPS, index)
         if snr > best_snr:
             best_layers, best_snr = layers, snr
     return GainAssignment.from_layers(best_layers), best_snr

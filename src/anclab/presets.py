@@ -85,13 +85,10 @@ def replicate_last_relay_layer(
     last = net.num_layers - 1
     sizes = list(net.layer_sizes)
     sizes[last] = n
-    matrices = [m.copy() for m in net.gain_matrices]
+    matrices = list(net.gain_matrices)
     matrices[last - 1] = np.tile(matrices[last - 1][0:1, :], (n, 1))
     matrices[last] = np.tile(matrices[last][:, 0:1], (1, n))
-    budgets = []
-    for layer in range(1, last):
-        budgets.extend(float(b) for b in net.relay_budgets[layer - 1])
-    budgets.extend([relay_budget] * n)
+    budgets = np.concatenate([*net.relay_budgets[:-1], np.full(n, relay_budget)])
     return build_network(sizes, matrices, budgets, net.source_power)
 
 
@@ -117,10 +114,7 @@ def rescale_to_delta(
             require_power(m + 1, p_r, "no rescaling reaches the margin")
             factors[m] = target / float(p_r.min())
 
-    source_power = net.source_power * factors[0]
-    budgets = []
-    for layer in range(1, net.num_layers):
-        budgets.extend(float(b) * factors[layer] for b in net.relay_budgets[layer - 1])
+    budgets = np.concatenate([b * f for b, f in zip(net.relay_budgets, factors[1:])])
     return build_network(
-        net.layer_sizes, [m.copy() for m in net.gain_matrices], budgets, source_power
+        net.layer_sizes, net.gain_matrices, budgets, net.source_power * factors[0]
     )

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import destination_rows
+from .coding import destination_rows, visible_rows
 from .gains import GainAssignment
-from .network import _CANCEL_RTOL, LayeredNetwork, NodeId, RegimeSpec
+from .network import LayeredNetwork, NodeId, RegimeSpec
 from .power import received_powers, regime_delta, require_power, safe_gains
 
 
@@ -73,10 +73,8 @@ def matched_gains(net: LayeredNetwork, spec: RegimeSpec) -> tuple[GainAssignment
         np.zeros(net.layer_sizes[layer]) if layer == l else safe_gains(net, layer, delta)
         for layer in range(1, net.num_layers)
     ]
-    betas = [np.ones(1), *layers]
-    g = destination_rows(net, betas)[l]
-    scale = destination_rows(net, [*map(np.abs, betas)], [*map(np.abs, net.gain_matrices)])
-    zero = np.flatnonzero(np.abs(g) <= _CANCEL_RTOL * scale[l])  # cancellation residue is zero
+    g = visible_rows(net, [np.ones(1), *layers])[l]
+    zero = np.flatnonzero(g == 0.0)  # visible_rows sets cancellation residue to 0.0
     if zero.size:
         raise ValueError(
             f"{NodeId(l, int(zero[0]))} is invisible at the destination (compound gain zero)"

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from anclab import GainAssignment, NodeId, build_network, max_safe_gain, propagate_coefficients
-from anclab.coding import forward_hop
+from anclab.coding import destination_rows, forward_hop
 from anclab.power import _PASS_RTOL, NodeFeasibility, safe_gains
 from anclab.report import as_json, records_csv
 
@@ -79,10 +79,11 @@ def random_box_gains(
 def swept_coefficients(net, gains) -> dict:
     """Every coefficient production computes, keyed (origin, target) for each
     target downstream of the source or of a relay: state.source[l] from the
-    source, betas[o] * rows[o] from a relay to the destination, and the
-    columns of the transfer matrix that forward_hop carries from a relay to
-    a later relay."""
+    source, betas[o] * destination_rows(...)[o] from a relay to the
+    destination, and the columns of the transfer matrix that forward_hop
+    carries from a relay to a later relay."""
     state = propagate_coefficients(net, gains)
+    rows = destination_rows(net, state.betas)
     coefficients = {}
     for layer in range(1, net.num_layers + 1):
         for k, value in enumerate(state.source[layer]):
@@ -90,7 +91,7 @@ def swept_coefficients(net, gains) -> dict:
     relays = list(net.relays())  # layer-major, the transfer matrix's column order
     for origin in relays:
         o, i = origin.layer, origin.index
-        coefficients[origin, net.destination] = state.betas[o][i] * state.rows[o][i]
+        coefficients[origin, net.destination] = state.betas[o][i] * rows[o][i]
     source, transfer = state.source[0], np.zeros((1, 0))
     for layer in range(net.num_layers - 1):  # targets: relay layers 1..L-1
         source, transfer = forward_hop(net, state.betas, layer, source, transfer)

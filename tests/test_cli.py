@@ -436,6 +436,15 @@ def test_sweep_n_refuses_huge_relay_counts(grid, monkeypatch, capsys):
     assert captured.err == f"error: relay counts must be at most 1000000, got {float(grid):g}\n"
 
 
+
+def test_sweep_n_on_one_hop_network_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "one_hop.json"
+    save_network(chain_network(hops=1), str(path))
+    assert main(["sweep-n", "--network", str(path), "--grid", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: network has no relay layer to replicate\n"
+
 @pytest.mark.parametrize(
     "argv",
     [

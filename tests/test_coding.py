@@ -12,6 +12,7 @@ from anclab import (
     path_coefficient,
     propagate_coefficients,
 )
+from anclab.coding import destination_rows
 from anclab.presets import chain_network, diamond_network
 from conftest import random_network, swept_coefficients
 
@@ -25,7 +26,7 @@ def test_diamond_coefficients():
     net, gains = unit_diamond()
     state = propagate_coefficients(net, gains)
     assert state.source[-1][0] == 2.0
-    assert list(state.betas[1] * state.rows[1]) == [1.0, 1.0]
+    assert list(state.betas[1] * destination_rows(net, state.betas)[1]) == [1.0, 1.0]
 
 
 def test_chain_coefficients_include_origin_gain():
@@ -35,7 +36,8 @@ def test_chain_coefficients_include_origin_gain():
     b = 0.37
     state = propagate_coefficients(net, GainAssignment.from_layers([[b]]))
     assert np.isclose(state.source[-1][0], b, rtol=1e-15)
-    assert np.isclose(state.betas[1][0] * state.rows[1][0], b, rtol=1e-15)
+    row = destination_rows(net, state.betas)[1]
+    assert np.isclose(state.betas[1][0] * row[0], b, rtol=1e-15)
 
 
 def test_coefficients_vanish_upstream():
@@ -98,10 +100,21 @@ def test_scaling_one_gain_scales_downstream_coefficients():
     net = chain_network(hops=3)
     s0 = propagate_coefficients(net, GainAssignment.from_layers([[0.7], [0.4]]))
     s1 = propagate_coefficients(net, GainAssignment.from_layers([[1.4], [0.4]]))
+    r0, r1 = destination_rows(net, s0.betas), destination_rows(net, s1.betas)
     assert s1.source[-1][0] == 2.0 * s0.source[-1][0]
-    assert s1.betas[1][0] * s1.rows[1][0] == 2.0 * (s0.betas[1][0] * s0.rows[1][0])
+    assert s1.betas[1][0] * r1[1][0] == 2.0 * (s0.betas[1][0] * r0[1][0])
     # noise injected after the scaled node is untouched
-    assert s1.betas[2][0] * s1.rows[2][0] == s0.betas[2][0] * s0.rows[2][0]
+    assert s1.betas[2][0] * r1[2][0] == s0.betas[2][0] * r0[2][0]
+
+
+def test_propagation_runs_no_backward_sweep(monkeypatch):
+    def backward_sweep(*args):
+        raise AssertionError("propagate_coefficients ran destination_rows")
+
+    monkeypatch.setattr("anclab.coding.destination_rows", backward_sweep)
+    net = chain_network(hops=3)
+    state = propagate_coefficients(net, GainAssignment.from_layers([[1.0], [1.0]]))
+    assert state.source[-1][0] == 1.0 and state.noise[-1][0] == 3.0
 
 
 def test_zero_gain_cut_kills_signal():

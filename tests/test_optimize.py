@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+import anclab.optimize
 from anclab import (
     NodeId,
     OptimizerConfig,
@@ -76,20 +77,11 @@ def test_near_optimality_of_matched_scheme_in_high_snr():
 def test_bad_config_rejected():
     with pytest.raises(ValueError):
         OptimizerConfig(restarts=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(tolerance=0.0)
 
 
 @pytest.mark.parametrize(
     "field, value",
-    [
-        ("tolerance", float("nan")),
-        ("tolerance", float("inf")),
-        ("max_iterations", -3),
-        ("max_iterations", 1.5),
-        ("restarts", 1.5),
-        ("seed", 1.5),
-    ],
+    [("restarts", 1.5), ("seed", 1.5)],
 )
 def test_bad_config_field_named(field, value):
     with pytest.raises(ValueError, match=field):
@@ -104,10 +96,11 @@ def test_reported_snr_is_that_of_returned_gains():
         assert snr == destination_snr(net, gains)
 
 
-def test_unconverged_start_logs_warning(caplog):
+def test_unconverged_start_logs_warning(caplog, monkeypatch):
     net = asymmetric_three_layer()
+    monkeypatch.setattr(anclab.optimize, "_MAX_SWEEPS", 1)
     with caplog.at_level(logging.WARNING, logger="anclab.optimize"):
-        optimize_gains(net, OptimizerConfig(max_iterations=1))
+        optimize_gains(net, OptimizerConfig())
     records = [r for r in caplog.records if r.name == "anclab.optimize"]
     starts = [r.args[0] for r in records]
     assert records and starts == sorted(set(starts))  # at most one warning per start
@@ -119,6 +112,7 @@ def test_unconverged_start_logs_warning(caplog):
         f"SNR {previous!r} -> {current!r}"
     )
     caplog.clear()
+    monkeypatch.undo()  # the default sweep count converges
     with caplog.at_level(logging.WARNING, logger="anclab.optimize"):
         optimize_gains(net, OptimizerConfig())
     assert not caplog.records
@@ -139,6 +133,6 @@ def test_each_start_logs_one_debug_line(caplog, capsys):
     assert [r.args[0] for r in records] == list(range(len(records)))
     for record in records:
         start, sweeps, final = record.args
-        assert 1 <= sweeps <= config.max_iterations and final <= snr
+        assert 1 <= sweeps <= anclab.optimize._MAX_SWEEPS and final <= snr
         assert record.getMessage() == f"start {start}: {sweeps} sweeps, SNR {final!r}"
     assert max(r.args[2] for r in records) == snr

@@ -43,12 +43,18 @@ from anclab import (
     regime_delta,
 )
 from anclab.bounds import exceptional_power_sum, lower_bound_terms
-from anclab.coding import destination_rows, forward_hop
+from anclab.coding import destination_rows, forward_hop, visible_rows
 from anclab.montecarlo import _block_sums
 from anclab.optimize import _ascend, _best_gain, _sweep_layer
 from anclab.power import safe_gains
 from anclab.presets import rescale_to_delta
-from conftest import feasibility_records, per_node_block_sums, records_outputs, swept_coefficients
+from conftest import (
+    feasibility_records,
+    near_cancelling_network,
+    per_node_block_sums,
+    records_outputs,
+    swept_coefficients,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -115,6 +121,25 @@ def test_coefficients_match_path_oracle(case):
             oracle = path_coefficient(net, gains, origin, k)
             scale = path_coefficient(abs_net, abs_gains, origin, k)
             assert abs(got - oracle) <= 1e-12 * max(1.0, scale), (origin, k, got, oracle)
+
+
+# Layer-1 node 0 reaches the destination through 2 + (-2 + eps): residue at
+# eps = 1e-13, a real path at 1e-9.
+_NEAR_CANCELLING_GAINS = GainAssignment.from_layers([[1.0, 0.0], [2.0, 1.0]])
+
+
+@PROPERTY_SETTINGS
+@given(networks_with_gains(signed=True))
+@example((near_cancelling_network(1e-13), _NEAR_CANCELLING_GAINS))
+@example((near_cancelling_network(1e-9), _NEAR_CANCELLING_GAINS))
+def test_visible_rows_drop_only_cancellation_residue(case):
+    net, gains = case
+    betas = gains.betas(net)
+    scale = destination_rows(net, [*map(np.abs, betas)], [*map(np.abs, net.gain_matrices)])
+    for visible, row, bound in zip(visible_rows(net, betas), destination_rows(net, betas), scale):
+        residue = np.abs(row) <= 1e-12 * bound
+        assert visible[~residue].tobytes() == row[~residue].tobytes()  # bit for bit
+        assert np.all(visible[residue] == 0.0) and not np.signbit(visible[residue]).any()
 
 
 @PROPERTY_SETTINGS
@@ -197,7 +222,8 @@ def test_feasibility_report_matches_record_loop(case):
 def _destination_coefficients(net, betas):
     """Fresh propagation: destination signal coefficient, noise coefficients."""
     state = propagate_coefficients(net, GainAssignment.from_layers(betas[1:]))
-    noise = [state.betas[m] * state.rows[m] for m in range(1, net.num_layers)]
+    rows = destination_rows(net, state.betas)
+    noise = [state.betas[m] * rows[m] for m in range(1, net.num_layers)]
     return float(state.source[-1][0]), np.concatenate(noise)
 
 
@@ -307,7 +333,7 @@ def test_ascent_snr_is_that_of_its_gains(net, data):
         for box in boxes
     ]
     for sweeps in (1, 2, 3):
-        layers, snr = _ascend(net, start, boxes, sweeps, 1e-10)
+        layers, snr = _ascend(net, start, boxes, sweeps)
         assert snr == destination_snr(net, GainAssignment.from_layers(layers))
 
 
