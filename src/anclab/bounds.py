@@ -102,7 +102,12 @@ def lower_bound_terms(
     c2 = 1.0
     for d in range(1, net.num_layers - l):
         c2 += delta * p_rd / (1.0 + delta) ** d
-    c3 = 1.0 + c2 / (params.c1 ** 2 * s)
+    try:
+        c3 = 1.0 + c2 / (params.c1 ** 2 * s)
+    except (OverflowError, ZeroDivisionError):  # c1**2 overflows, or c1**2 * s underflows to 0
+        c3 = math.inf
+    if not math.isfinite(c3):
+        raise ValueError(f"c3 = 1 + c2 / (c1**2 * s) is out of float range at c1 = {params.c1}")
     attenuation = (1.0 + delta) ** (l - 1)
     numerator = s / attenuation
     denominator = (1.0 - 1.0 / attenuation) * s + c3

@@ -16,7 +16,6 @@ only with --scheme generalized, the one gain source that reads it.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import sys
@@ -26,7 +25,8 @@ import numpy as np
 from .bounds import anc_rate, bounds_report, destination_snr, rate_lower_bound, rate_upper_bound
 from .gains import gains_to_dict, load_gains
 from .montecarlo import SimConfig, agreement_check, analytic_moments, simulate
-from .network import LayeredNetwork, NetworkValidationError, RegimeSpec, load_network
+from .network import LayeredNetwork, NetworkValidationError, RegimeSpec, build_network
+from .network import load_network
 from .optimize import OptimizerConfig, optimize_gains
 from .power import check_feasible
 from .presets import replicate_last_relay_layer, rescale_to_delta
@@ -174,7 +174,8 @@ def cmd_sweep_ps(args) -> int:
     def row(base, p_s):
         if p_s <= 0:
             raise CliError("source powers must be positive")
-        net = dataclasses.replace(base, source_power=p_s)  # finite by _grid, positive above
+        budgets = [b for chunk in base.relay_budgets for b in chunk]  # none for one hop
+        net = build_network(base.layer_sizes, base.gain_matrices, budgets, p_s)
         matched, params = matched_gains(net, spec)
         rate_matched = anc_rate(destination_snr(net, matched))
         rate_full = anc_rate(destination_snr(net, full_power_gains(net)))

@@ -116,6 +116,7 @@ def _block_sums(net, betas, seed, block, size):
     return node, dest
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflowing moment sums are refused
 def simulate(net: LayeredNetwork, gains: GainAssignment, config: SimConfig) -> SimReport:
     """Propagate config.samples draws and report empirical moments.
 
@@ -130,6 +131,7 @@ def simulate(net: LayeredNetwork, gains: GainAssignment, config: SimConfig) -> S
         for b in range((config.samples + _BLOCK - 1) // _BLOCK)
     ]
 
+    @np.errstate(over="ignore", invalid="ignore")  # per thread, so in the pool's threads too
     def run(args):
         block, size = args
         return _block_sums(net, betas, config.seed, block, size)
@@ -141,6 +143,8 @@ def simulate(net: LayeredNetwork, gains: GainAssignment, config: SimConfig) -> S
         for block_nodes, block_dest in (pool.map if config.workers > 1 else map)(run, blocks):
             node_sums += block_nodes
             dest += block_dest
+    if not (np.isfinite(node_sums).all() and np.isfinite(dest).all()):
+        raise ValueError("moment sums overflow float64; powers too large to simulate")
 
     n = float(config.samples)
     mean = node_sums[0] / n

@@ -6,15 +6,17 @@ described by one real gain matrix per hop.  Every node adds unit-variance
 Gaussian noise; every transmitting node has a linear power budget.
 
 The network is frozen, so what depends on it alone is computed once per
-instance, on first access, and kept on it: received_powers, the full-budget
-coherent received power of every layer, handed out as read-only arrays; the
-smallest of each layer (least_received_powers); and each relay layer's
-safe-gain box without a uniform margin (safe_boxes).
+instance and kept on it: received_powers, the full-budget coherent received
+power of every layer, handed out as read-only arrays; the smallest of each
+layer (least_received_powers); and each relay layer's safe-gain box without
+a uniform margin (safe_boxes).
 
 Signed gains can cancel.  drop_residue is the one rule for when they do: a
 signed sum no larger than 1e-12 times the same sum on magnitudes is exactly
 zero.  coherent_power applies it to received powers, and coding.visible_rows
-to destination rows, which the matched scheme and ideal_snr read.
+to destination rows, which the matched scheme and ideal_snr read.  Every
+bound, box and margin reads a node's received power P_R or its margin 1/P_R,
+so build_network refuses a network where either is not finite.
 """
 
 from __future__ import annotations
@@ -144,24 +146,17 @@ class LayeredNetwork:
 
     @cached_property
     def least_received_powers(self) -> tuple[float, ...]:
-        """Smallest received power of each of layers 1..L, entry l-1 for layer l;
-        exactly 0.0 where a node of the layer receives zero power."""
-        return tuple(float(p.min()) if p.all() else 0.0 for p in self.received_powers)
+        """Smallest received power of each of layers 1..L, entry l-1 for layer l."""
+        return tuple(float(p.min()) for p in self.received_powers)
 
     @cached_property
-    def safe_boxes(self) -> tuple[np.ndarray | None, ...]:
-        """safe_box of relay layers 1..L-1 with each relay's own margin 1/P_R, read-only.
-
-        Entry l-1 belongs to layer l; it is None where a relay of the layer
-        receives zero power, so no box exists.
-        """
+    def safe_boxes(self) -> tuple[np.ndarray, ...]:
+        """safe_box of relay layers 1..L-1 with each relay's own margin 1/P_R,
+        read-only; entry l-1 belongs to layer l."""
         boxes = []
         for budgets, p_r in zip(self.relay_budgets, self.received_powers):
-            box = None
-            if p_r.all():
-                box = safe_box(budgets, p_r, 1.0 / p_r)
-                box.flags.writeable = False
-            boxes.append(box)
+            boxes.append(safe_box(budgets, p_r, 1.0 / p_r))
+            boxes[-1].flags.writeable = False
         return tuple(boxes)
 
 
@@ -177,9 +172,10 @@ def build_network(
     the source transmits at source_power and the destination never transmits.
 
     Raises NetworkValidationError on non-integer layer sizes, shape mismatch,
-    nonpositive power, non-finite gains, or unreachable nodes (a non-source
+    nonpositive power, non-finite gains, unreachable nodes (a non-source
     node with all-zero incoming gains, or a non-destination node with all-zero
-    outgoing gains).
+    outgoing gains), or a node whose received power or its reciprocal is not
+    finite.
     """
     not_integers = f"layer sizes must be integers, got {layer_sizes}"
     try:
@@ -203,7 +199,6 @@ def build_network(
             f"expected {num_hops} gain matrices, got {len(gain_matrices)}"
         )
     matrices = []
-    nonzero = []
     for l, raw in enumerate(gain_matrices):
         mat = np.array(raw, dtype=np.float64)
         expected = (sizes[l + 1], sizes[l])
@@ -215,7 +210,6 @@ def build_network(
             raise NetworkValidationError(f"gain matrix {l} contains non-finite entries")
         mat.flags.writeable = False
         matrices.append(mat)
-        nonzero.append(mat != 0.0)
 
     num_relays = sum(sizes[1:-1])
     budgets_flat = np.array(power_budgets, dtype=np.float64)
@@ -238,26 +232,36 @@ def build_network(
 
     # Reachability: every non-source node hears someone, every non-destination
     # node is heard by someone in the next layer.
-    for l, nz in enumerate(nonzero):
-        incoming = nz.any(axis=1)
+    for l, mat in enumerate(matrices):
+        if np.count_nonzero(mat) == mat.size:  # no zero gain: the common case, in one call
+            continue
+        incoming = mat.any(axis=1)  # a float is true where nonzero
         if not incoming.all():
             index = int(np.argmin(incoming))  # the first False
             raise NetworkValidationError(
                 f"node {NodeId(l + 1, index)} is unreachable: all incoming gains are zero"
             )
-        outgoing = nz.any(axis=0)
+        outgoing = mat.any(axis=0)
         if not outgoing.all():
             index = int(np.argmin(outgoing))
             raise NetworkValidationError(
                 f"node {NodeId(l, index)} is silent: all outgoing gains are zero"
             )
 
-    return LayeredNetwork(
+    net = LayeredNetwork(
         layer_sizes=sizes,
         gain_matrices=tuple(matrices),
         relay_budgets=tuple(relay_budgets),
         source_power=float(source_power),
     )
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused, not warned
+        p_r = np.concatenate(net.received_powers)  # layer-major, as net.nodes() after the source
+        bad = np.flatnonzero(~(np.isfinite(p_r) & np.isfinite(1.0 / p_r)))
+    if bad.size:
+        node, value = list(net.nodes())[1 + bad[0]], float(p_r[bad[0]])
+        message = f"received power at {node} is {value}; it and its reciprocal must be finite"
+        raise NetworkValidationError(message)
+    return net
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,8 @@ with every in-neighbor transmitting a full-budget symbol coherently; it
 depends only on the network, never on the chosen gains, so it is computed
 once per network (LayeredNetwork.received_powers) and every caller reads
 the same read-only array.  Gains are signed and enter the sum before
-squaring, so mixed signs can drive the value toward zero.  A sum no larger
-than 1e-12 times the summed magnitudes of its terms is cancellation residue
-and counts as exactly zero, which is a hard error wherever its reciprocal
-is needed.  Layer-wide checks report it through require_power, which names
-the first such node; max_safe_gain and node_delta check their own node.
+squaring, so mixed signs can drive the value toward zero; build_network
+refuses a network where a received power or its reciprocal is not finite.
 
 safe_gains(layer) is the box: the largest amplification magnitude for which
 the received-power sufficient condition guarantees each relay's transmit
@@ -48,14 +45,6 @@ def received_powers(net: LayeredNetwork, layer: int) -> np.ndarray:
     return net.received_powers[layer - 1]
 
 
-def require_power(layer: int, powers: np.ndarray, consequence: str) -> None:
-    """Raise ValueError naming the first node of the layer with zero received power."""
-    if powers.all():
-        return
-    zero = np.flatnonzero(powers == 0.0)
-    raise ValueError(f"received power at {NodeId(layer, int(zero[0]))} is zero; {consequence}")
-
-
 def safe_gains(net: LayeredNetwork, layer: int, delta: float | None = None) -> np.ndarray:
     """Largest |beta| of every relay of a layer under the sufficient power condition.
 
@@ -64,11 +53,8 @@ def safe_gains(net: LayeredNetwork, layer: int, delta: float | None = None) -> n
     a uniform margin delta when one is given.
     """
     net.require_relay_layer(layer)
-    box = net.safe_boxes[layer - 1]
-    if box is None:
-        require_power(layer, received_powers(net, layer), "no safe gain exists")
     if delta is None:
-        return box
+        return net.safe_boxes[layer - 1]
     return safe_box(net.relay_budgets[layer - 1], net.received_powers[layer - 1], delta)
 
 
@@ -78,22 +64,16 @@ def received_power(net: LayeredNetwork, k: NodeId) -> float:
 
 
 def node_delta(net: LayeredNetwork, k: NodeId) -> float:
-    """Reciprocal received power; the per-node smallness measure."""
-    p = received_power(net, k)
-    if p == 0.0:
-        raise ValueError(f"received power at {k} is zero; its reciprocal is undefined")
-    return 1.0 / p
+    """Reciprocal received power, the node's own margin; finite on a built network."""
+    return 1.0 / received_power(net, k)
 
 
 def power_margin(net: LayeredNetwork, layers: Iterable[int]) -> float:
     """Smallest delta with every node of the given layers receiving at least 1/delta, or 0."""
     worst = math.inf
     for layer in layers:
-        p = received_powers(net, layer)
-        least = net.least_received_powers[layer - 1]
-        if least == 0.0:
-            require_power(layer, p, "regime margin undefined")
-        worst = min(worst, least)
+        received_powers(net, layer)  # raises for a layer that receives nothing
+        worst = min(worst, net.least_received_powers[layer - 1])
     return 1.0 / worst
 
 
@@ -106,7 +86,7 @@ def regime_delta(net: LayeredNetwork, spec: RegimeSpec) -> float:
 
 
 def max_safe_gain(net: LayeredNetwork, k: NodeId) -> float:
-    """Largest |beta| at relay k; ValueError if k or its layer has zero received power."""
+    """Largest |beta| at relay k; the zero check only feeds perfbench's tracer self-test."""
     net.require_relay_layer(k.layer)
     if received_power(net, k) == 0.0:
         raise ValueError(f"received power at {k} is zero; no safe gain exists")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .network import LayeredNetwork, build_network
-from .power import received_powers, require_power
 
 
 def chain_network(
@@ -107,12 +106,8 @@ def rescale_to_delta(
     net.require_relay_layer(exceptional_layer, "exceptional layer")
     target = 1.0 / delta
 
-    factors = [1.0] * net.num_layers
-    for m in range(net.num_layers):
-        if m != exceptional_layer - 1:
-            p_r = received_powers(net, m + 1)
-            require_power(m + 1, p_r, "no rescaling reaches the margin")
-            factors[m] = target / float(p_r.min())
+    least = net.least_received_powers
+    factors = [1.0 if m == exceptional_layer - 1 else target / least[m] for m in range(len(least))]
 
     budgets = np.concatenate([b * f for b, f in zip(net.relay_budgets, factors[1:])])
     return build_network(

@@ -18,7 +18,7 @@ import numpy as np
 from .coding import destination_rows, visible_rows
 from .gains import GainAssignment
 from .network import LayeredNetwork, NodeId, RegimeSpec
-from .power import received_powers, regime_delta, require_power, safe_gains
+from .power import received_powers, regime_delta, safe_gains
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,6 @@ def matched_gains(net: LayeredNetwork, spec: RegimeSpec) -> tuple[GainAssignment
             f"{NodeId(l, int(zero[0]))} is invisible at the destination (compound gain zero)"
         )
     p_r = received_powers(net, l)
-    require_power(l, p_r, "scheme undefined")
     c1 = float(np.min(np.abs(g) / p_r * np.sqrt(net.relay_budgets[l - 1] / (1.0 + 1.0 / p_r))))
     layers[l - 1] = c1 * np.sqrt(p_r) / g
     return GainAssignment.from_layers(layers), SchemeParams(c1=c1, gamma=layers[l - 1] * g)

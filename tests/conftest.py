@@ -51,9 +51,15 @@ def near_cancelling_network(eps: float):
     )
 
 
-def cancelling_destination_network():
-    """[1, 3, 1] network whose destination sum 0.1 + 0.2 - 0.3 is cancellation residue."""
-    return build_network([1, 3, 1], [[[1.0], [1.0], [1.0]], [[0.1, 0.2, -0.3]]], [1.0] * 3, 1.0)
+def cancelling_destination_network() -> dict:
+    """[1, 3, 1] network, as JSON, whose destination sum 0.1 + 0.2 - 0.3 is
+    cancellation residue; build_network refuses it."""
+    return {
+        "layer_sizes": [1, 3, 1],
+        "gain_matrices": [[[1.0], [1.0], [1.0]], [[0.1, 0.2, -0.3]]],
+        "power_budgets": [1.0] * 3,
+        "source_power": 1.0,
+    }
 
 
 def box_limits(net) -> list[np.ndarray]:

@@ -1,28 +1,35 @@
-"""The functions the benchmark tracer wraps still exist.
+"""The benchmark still runs on this package: its names and its inputs.
 
 perfbench/tracer.py names, per anclab module, the entry points whose calls
 and time make up each per-layer metric.  A name that disappears makes the
 tracer report zero for it instead of failing, so this checks every name
-against the package.
+against the package.  The benchmark's recorded inputs must also pass
+build_network's checks, or its workloads fail to set up.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+from anclab import load_network
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def _tracer_layers() -> dict[str, tuple[str, ...]]:
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _perfbench_module(name: str):
+    """perfbench/<name>.py, loaded by path and registered, as its dataclasses need."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
-    return module.LAYERS
+    return module
 
 
-LAYERS = _tracer_layers()
+LAYERS = _perfbench_module("tracer").LAYERS
 
 
 @pytest.mark.parametrize("layer", sorted(LAYERS))
@@ -30,3 +37,15 @@ def test_traced_names_are_callable(layer):
     module = importlib.import_module(f"anclab.{layer}")
     for name in LAYERS[layer]:
         assert callable(getattr(module, name, None)), f"anclab.{layer}.{name}"
+
+
+def test_benchmark_inputs_build():
+    # simulate_wide's pool is the benchmark's only signed one, so the only one
+    # whose received powers can cancel; simulate_pool_network builds each network.
+    workloads = _perfbench_module("workloads")
+    for index in range(workloads.SIMULATE_POOL):
+        workloads.simulate_pool_network(index)
+    configs = sorted((ROOT / "configs").glob("*.json"))
+    assert len(configs) == 4
+    for path in configs:
+        load_network(str(path))

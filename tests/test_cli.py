@@ -494,18 +494,91 @@ def test_option_without_effect_is_rejected(argv, chain_file, tmp_path, capsys):
         ),
         (
             ["sweep-delta", "--network", "CANCEL", "--layer", "1", "--grid", "0.1"],
-            "received power at 2:0 is zero; no rescaling reaches the margin",
+            "cannot load network CANCEL: received power at 2:0 is 0.0; "
+            "it and its reciprocal must be finite",
         ),
     ],
     ids=["simulate-scheme-without-layer", "sweep-n-fractional-count", "sweep-delta-zero-power"],
 )
 def test_input_check_is_one_error_line(argv, message, tmp_path, capsys):
     files = {"THREE_LAYER": str(CONFIGS / "three_layer.json"), "CANCEL": str(tmp_path / "c.json")}
-    save_network(cancelling_destination_network(), files["CANCEL"])
+    Path(files["CANCEL"]).write_text(json.dumps(cancelling_destination_network()))
     assert main([files.get(a, a) for a in argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
+    assert captured.err == f"error: {message.replace('CANCEL', files['CANCEL'])}\n"
+
+
+def _network_file(path, sizes, matrices, budgets, source_power) -> str:
+    data = {
+        "layer_sizes": sizes,
+        "gain_matrices": matrices,
+        "power_budgets": budgets,
+        "source_power": source_power,
+    }
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+_DIAMOND = [[[1.0], [1.0]], [[1.0, 1.0]]]
+_ONES_1221 = [[[1.0], [1.0]], [[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0]]]
+
+
+@pytest.mark.parametrize(
+    "network, argv, message",
+    [
+        (
+            ([1, 2, 1], _DIAMOND, [1e308, 1e308], 1.0),
+            ["bounds", "--layer", "1"],
+            "cannot load network NET: received power at 2:0 is inf; "
+            "it and its reciprocal must be finite",
+        ),
+        (
+            None,
+            ["sweep-n", "--grid", "2", "--relay-budget", "1e308"],
+            "received power at 3:0 is inf; it and its reciprocal must be finite",
+        ),
+        (
+            ([1, 1, 1], [[[2.0]], [[1.0]]], [1.0], 1.0),
+            ["sweep-ps", "--layer", "1", "--grid", "1,1e308"],
+            "received power at 1:0 is inf; it and its reciprocal must be finite",
+        ),
+        (
+            ([1, 2, 1], _DIAMOND, [1.0, 1.0], 1e160),
+            ["simulate", "--scheme", "full_power", "--samples", "1000"],
+            "moment sums overflow float64; powers too large to simulate",
+        ),
+        (
+            ([1, 2, 1], _DIAMOND, [1.0, 1.0], 1e308),
+            ["simulate", "--scheme", "full_power", "--samples", "1000"],
+            "moment sums overflow float64; powers too large to simulate",
+        ),
+        (
+            ([1, 2, 2, 1], _ONES_1221, [1e-307] * 4, 1.0),
+            ["bounds", "--layer", "1"],
+            "c3 = 1 + c2 / (c1**2 * s) is out of float range at c1 = 1.4142135623730951e-307",
+        ),
+    ],
+    ids=[
+        "bounds-budgets-1e308",
+        "sweep-n-budget-1e308",
+        "sweep-ps-1e308",
+        "simulate-source-1e160",
+        "simulate-source-1e308",
+        "bounds-budgets-1e-307",
+    ],
+)
+def test_out_of_range_powers_are_one_error_line(network, argv, message, tmp_path, capsys):
+    # Each once printed inf rates, NaN cells or RuntimeWarnings, or ended in a
+    # traceback; any warning now fails the test.
+    if network is None:
+        path = str(CONFIGS / "wide_bottleneck_base.json")
+    else:
+        path = _network_file(tmp_path / "net.json", *network)
+    assert main(argv + ["--network", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.replace('NET', path)}\n"
 
 
 def test_full_power_simulation_ignores_matched_scheme(tmp_path, capsys):

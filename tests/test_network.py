@@ -82,6 +82,29 @@ def test_non_finite_gain_rejected():
         build_network([1, 2, 1], [[[np.inf], [1.0]], [[1.0, 1.0]]], [1.0, 1.0], 1.0)
 
 
+_ONES_1221 = [[[1.0], [1.0]], [[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0]]]
+
+
+@pytest.mark.parametrize(
+    "args, node, value",
+    [
+        (([1, 2, 1], [[[1.0], [1.0]], [[1.0, -1.0]]], [1.0, 1.0], 1.0), "2:0", "0.0"),
+        (([1, 3, 1], [[[1.0]] * 3, [[0.1, 0.2, -0.3]]], [1.0] * 3, 1.0), "2:0", "0.0"),
+        (([1, 3, 1, 1], [[[1.0]] * 3, [[0.1, 0.2, -0.3]], [[1.0]]], [1.0] * 4, 1.0), "2:0", "0.0"),
+        (([1, 2, 1], [[[1.0], [1.0]], [[1.0, 1.0]]], [1e308, 1e308], 1.0), "2:0", "inf"),
+        (([1, 2, 2, 1], _ONES_1221, [1e-320] * 4, 1.0), "2:0", "4e-320"),
+    ],
+    ids=["exact-cancellation", "residue", "residue-at-relay", "overflow", "reciprocal-overflow"],
+)
+def test_unusable_received_power_rejected(args, node, value):
+    # 0.1 + 0.2 - 0.3 leaves about 5.6e-17: cancellation residue, so 0.0.
+    # 4e-320 is finite, but its reciprocal, the node's margin, is not.  Any
+    # RuntimeWarning on the way would fail the test, as every warning does.
+    message = f"received power at {node} is {value}; it and its reciprocal must be finite"
+    with pytest.raises(NetworkValidationError, match=f"^{re.escape(message)}$"):
+        build_network(*args)
+
+
 def test_neighbors_always_previous_layer():
     # a node's in-neighbors are the nonzero entries of its row of the hop
     # matrix into its layer, whose columns are the previous layer's nodes
