@@ -13,6 +13,7 @@ from anclab import (
     anc_rate,
     bounds_report,
     destination_snr,
+    downstream_gains,
     full_power_gains,
     ideal_snr,
     mac_cutset,
@@ -25,15 +26,17 @@ net = asymmetric_three_layer(source_power=1000.0)
 spec = RegimeSpec(exceptional_layer=2)
 print(f"regime margin delta = {regime_delta(net, spec):.4g}")
 
-matched, params = matched_gains(net, spec)
+matched, c1 = matched_gains(net, spec)
 full = full_power_gains(net)
-print(f"matched-combiner constant c1 = {params.c1:.4f}")
+print(f"matched-combiner constant c1 = {c1:.4f}")
 l = spec.exceptional_layer
-for i, gamma in enumerate(params.gamma):
+# end-to-end weight of each node: its gain times its compound downstream gain
+gammas = matched.layers[l - 1] * downstream_gains(net, matched, l)
+for i, gamma in enumerate(gammas):
     beta = matched.layers[l - 1][i]
     print(f"  {NodeId(l, i)}: beta={beta:+.4f}  end-to-end weight gamma={gamma:.4f}")
 
-report = bounds_report(net, spec, matched, params, scheme="generalized")
+report = bounds_report(net, spec, matched, c1, scheme="generalized")
 print("\nrates in bits per channel use:")
 print(f"  lower bound       {report.lower_bound:.4f}")
 print(f"  matched scheme    {report.achieved_rate:.4f}")

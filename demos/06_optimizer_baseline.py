@@ -23,7 +23,7 @@ for label, net in [
     ("moderate margin", asymmetric_three_layer(source_power=100.0)),
     ("deep high-SNR", rescale_to_delta(asymmetric_three_layer(), 2, 1e-4)),
 ]:
-    matched, params = matched_gains(net, spec)
+    matched, _ = matched_gains(net, spec)
     best, snr = optimize_gains(net, OptimizerConfig(restarts=4, seed=0))
     rates = {
         "full power": anc_rate(destination_snr(net, full_power_gains(net))),

@@ -3,10 +3,11 @@
 All rates are in bits per channel use, logarithms base 2.  The upper bound
 comes from an idealized network in which every layer except the exceptional
 one is noiseless; the lower bound is the closed-form rate guaranteed for
-the matched scheme.  Both are functions of the exceptional layer's received
-powers and the regime margin.  With nonnegative channel gains a valid
-instance sandwiches its achieved rate between them; signed gains can lift
-the lower bound above it (tests/test_bounds.py keeps a counterexample).
+the matched scheme, of which it reads only the constant c1 that matched_gains
+returns.  Both are functions of the exceptional layer's received powers and
+the regime margin.  With nonnegative channel gains a valid instance
+sandwiches its achieved rate between them; signed gains can lift the lower
+bound above it (tests/test_bounds.py keeps a counterexample).
 
 When the bounds coincide: to first order, upper - lower is about
 ((l - 1) * delta * s + c2 / (c1**2 * s)) / (2 ln 2) for exceptional layer l,
@@ -22,12 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coding import CodingState, propagate_coefficients, visible_rows
+from .coding import propagate_coefficients, visible_rows
 from .gains import GainAssignment
 from .network import LayeredNetwork, RegimeSpec
 from .power import power_margin, received_power, received_powers, regime_delta
 from .report import as_json, records_csv
-from .schemes import SchemeParams
 
 
 def anc_rate(snr: float) -> float:
@@ -37,12 +37,9 @@ def anc_rate(snr: float) -> float:
     return 0.5 * math.log1p(snr) / math.log(2.0)
 
 
-def destination_snr(
-    net: LayeredNetwork, gains: GainAssignment, state: CodingState | None = None
-) -> float:
+def destination_snr(net: LayeredNetwork, gains: GainAssignment) -> float:
     """Exact SNR at the destination: signal power over propagated plus local noise."""
-    if state is None:
-        state = propagate_coefficients(net, gains)
+    state = propagate_coefficients(net, gains)
     f = float(state.source[-1][0])
     return f * f * net.source_power / float(state.noise[-1][0])
 
@@ -78,22 +75,30 @@ def rate_upper_bound(net: LayeredNetwork, spec: RegimeSpec) -> float:
     return anc_rate(exceptional_power_sum(net, spec))
 
 
+def _margin_power(delta: float, hops: int) -> float:
+    """(1 + delta) ** hops, the margin's attenuation over that many hops."""
+    try:
+        return (1.0 + delta) ** hops
+    except OverflowError:
+        raise ValueError(f"(1 + delta) ** {hops} overflows at margin delta = {delta}") from None
+
+
 def lower_bound_terms(
     net: LayeredNetwork,
     spec: RegimeSpec,
-    params: SchemeParams,
+    c1: float,
     delta: float | None = None,
 ) -> tuple[float, float, float]:
     """Lower-bound value and its noise constants (rate, c2, c3).
 
-    The rate is below the matched scheme's only for nonnegative channel
-    gains.  delta defaults to the regime margin of the network;
-    passing an explicit value evaluates the closed form at that margin (0
-    gives the ideal case, where the geometric noise sum vanishes).
+    c1 is the matched scheme's constant.  The rate is below that scheme's
+    only for nonnegative channel gains.  delta defaults to the regime margin
+    of the network; passing an explicit value evaluates the closed form at
+    that margin (0 gives the ideal case, where the geometric noise sum vanishes).
     """
     l = spec.exceptional_layer
-    if params.c1 <= 0:
-        raise ValueError(f"matched-scheme constant must be positive, got {params.c1}")
+    if c1 <= 0:
+        raise ValueError(f"matched-scheme constant must be positive, got {c1}")
     if delta is None:
         delta = regime_delta(net, spec)
     s = exceptional_power_sum(net, spec)
@@ -101,22 +106,22 @@ def lower_bound_terms(
 
     c2 = 1.0
     for d in range(1, net.num_layers - l):
-        c2 += delta * p_rd / (1.0 + delta) ** d
+        c2 += delta * p_rd / _margin_power(delta, d)
     try:
-        c3 = 1.0 + c2 / (params.c1 ** 2 * s)
+        c3 = 1.0 + c2 / (c1 ** 2 * s)
     except (OverflowError, ZeroDivisionError):  # c1**2 overflows, or c1**2 * s underflows to 0
         c3 = math.inf
     if not math.isfinite(c3):
-        raise ValueError(f"c3 = 1 + c2 / (c1**2 * s) is out of float range at c1 = {params.c1}")
-    attenuation = (1.0 + delta) ** (l - 1)
+        raise ValueError(f"c3 = 1 + c2 / (c1**2 * s) is out of float range at c1 = {c1}")
+    attenuation = _margin_power(delta, l - 1)
     numerator = s / attenuation
     denominator = (1.0 - 1.0 / attenuation) * s + c3
     return anc_rate(numerator / denominator), c2, c3
 
 
-def rate_lower_bound(net: LayeredNetwork, spec: RegimeSpec, params: SchemeParams) -> float:
-    """Guaranteed rate of the matched scheme in the given regime."""
-    return lower_bound_terms(net, spec, params)[0]
+def rate_lower_bound(net: LayeredNetwork, spec: RegimeSpec, c1: float) -> float:
+    """Guaranteed rate of the matched scheme, of constant c1, in the given regime."""
+    return lower_bound_terms(net, spec, c1)[0]
 
 
 def mac_cutset(net: LayeredNetwork) -> float:
@@ -132,7 +137,7 @@ def high_snr_lower_bound(net: LayeredNetwork) -> float:
     """
     delta = power_margin(net, range(1, net.num_layers))
     p_rd = received_power(net, net.destination)
-    return anc_rate(p_rd / (1.0 + delta) ** (net.num_layers - 1))
+    return anc_rate(p_rd / _margin_power(delta, net.num_layers - 1))
 
 
 _RANK_ONE_SV_RATIO = 1e-10
@@ -143,7 +148,7 @@ def rank_one_cutset(net: LayeredNetwork, spec: RegimeSpec) -> float | None:
 
     Treats the hop matrix into the exceptional layer as a point-to-point
     multi-antenna channel; when its Gram matrix has numeric rank one the cut
-    capacity collapses to the same closed form as the upper bound.  Returns
+    capacity collapses to the upper bound, rate_upper_bound.  Returns
     None when the rank exceeds one (singular-value ratio above 1e-10).
     """
     spec.validate(net)
@@ -151,7 +156,7 @@ def rank_one_cutset(net: LayeredNetwork, spec: RegimeSpec) -> float | None:
     singular_values = np.linalg.svd(h, compute_uv=False)  # > 0: build_network bars zero rows
     if len(singular_values) > 1 and singular_values[1] > _RANK_ONE_SV_RATIO * singular_values[0]:
         return None
-    return anc_rate(exceptional_power_sum(net, spec))
+    return rate_upper_bound(net, spec)
 
 
 @dataclass(frozen=True)
@@ -182,12 +187,12 @@ def bounds_report(
     net: LayeredNetwork,
     spec: RegimeSpec,
     gains: GainAssignment,
-    params: SchemeParams,
+    c1: float,
     scheme: str,
 ) -> BoundsReport:
-    """Evaluate one gain assignment against every bound of the regime."""
+    """Evaluate one gain assignment against every bound, the matched scheme's c1 given."""
     snr = destination_snr(net, gains)
-    rate_lower, c2, c3 = lower_bound_terms(net, spec, params)
+    rate_lower, c2, c3 = lower_bound_terms(net, spec, c1)
     return BoundsReport(
         scheme=scheme,
         snr=snr,
@@ -196,7 +201,7 @@ def bounds_report(
         lower_bound=rate_lower,
         mac_cutset=mac_cutset(net),
         high_snr_lower_bound=high_snr_lower_bound(net),
-        c1=params.c1,
+        c1=c1,
         c2=c2,
         c3=c3,
         rank_one_cutset=rank_one_cutset(net, spec),

@@ -25,8 +25,7 @@ import numpy as np
 from .bounds import anc_rate, bounds_report, destination_snr, rate_lower_bound, rate_upper_bound
 from .gains import gains_to_dict, load_gains
 from .montecarlo import SimConfig, agreement_check, analytic_moments, simulate
-from .network import LayeredNetwork, NetworkValidationError, RegimeSpec, build_network
-from .network import load_network
+from .network import LayeredNetwork, RegimeSpec, build_network, load_network
 from .optimize import OptimizerConfig, optimize_gains
 from .power import check_feasible
 from .presets import replicate_last_relay_layer, rescale_to_delta
@@ -98,12 +97,12 @@ def cmd_bounds(args) -> int:
     config = OptimizerConfig(restarts=args.restarts, seed=args.seed)
     net = _load_net(args.network)
     spec = _regime(net, args.layer)
-    gains, params = matched_gains(net, spec)  # every scheme's lower bound reads params.c1
+    gains, c1 = matched_gains(net, spec)  # every scheme's lower bound reads c1
     if args.scheme == "full_power":
         gains = full_power_gains(net)
     elif args.scheme == "optimizer":
         gains, snr = optimize_gains(net, config)
-    payload = bounds_report(net, spec, gains, params, scheme=args.scheme).to_dict()
+    payload = bounds_report(net, spec, gains, c1, scheme=args.scheme).to_dict()
     if args.scheme == "optimizer":
         payload["optimizer_rate"] = anc_rate(snr)
     if args.format == "json":
@@ -172,15 +171,13 @@ def cmd_sweep_ps(args) -> int:
     spec = RegimeSpec(exceptional_layer=args.layer)
 
     def row(base, p_s):
-        if p_s <= 0:
-            raise CliError("source powers must be positive")
         budgets = [b for chunk in base.relay_budgets for b in chunk]  # none for one hop
         net = build_network(base.layer_sizes, base.gain_matrices, budgets, p_s)
-        matched, params = matched_gains(net, spec)
+        matched, c1 = matched_gains(net, spec)
         rate_matched = anc_rate(destination_snr(net, matched))
         rate_full = anc_rate(destination_snr(net, full_power_gains(net)))
         upper = rate_upper_bound(net, spec)
-        lower = rate_lower_bound(net, spec, params)
+        lower = rate_lower_bound(net, spec, c1)
         return [p_s, rate_matched, rate_full, upper, lower, upper - rate_matched, upper - rate_full]
 
     header = "source_power,rate_matched,rate_full_power,upper_bound,lower_bound,gap_matched"
@@ -208,12 +205,10 @@ def cmd_sweep_delta(args) -> int:
     spec = RegimeSpec(exceptional_layer=args.layer)
 
     def row(base, delta):
-        if delta <= 0:
-            raise CliError("margins must be positive")
         net = rescale_to_delta(base, args.layer, delta)
-        _, params = matched_gains(net, spec)
+        _, c1 = matched_gains(net, spec)
         upper = rate_upper_bound(net, spec)
-        lower = rate_lower_bound(net, spec, params)
+        lower = rate_lower_bound(net, spec, c1)
         return [delta, upper, lower, upper - lower]
 
     return _sweep(args, "delta,upper_bound,lower_bound,gap", row)
@@ -321,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(_attach_grid(argv))
     try:
         return args.func(args)
-    except (CliError, NetworkValidationError, ValueError) as exc:
+    except (CliError, ValueError) as exc:  # NetworkValidationError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

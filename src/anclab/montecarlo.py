@@ -198,7 +198,7 @@ def analytic_moments(net: LayeredNetwork, gains: GainAssignment) -> dict:
         "transmit_power": power,
         "source_coeff": float(state.source[-1][0]),
         "noise_power": float(state.noise[-1][0]),
-        "snr": destination_snr(net, gains, state=state),
+        "snr": destination_snr(net, gains),
     }
 
 

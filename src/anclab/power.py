@@ -14,13 +14,14 @@ the received-power sufficient condition guarantees each relay's transmit
 budget.  With each relay's own margin 1/P_R it too depends on the network
 alone, so it is read from the network's cache (LayeredNetwork.safe_boxes),
 as power_margin and regime_delta read each layer's smallest received power
-(LayeredNetwork.least_received_powers); only a uniform margin delta builds a
-fresh box.  The per-node functions read single entries of these arrays.
-The condition is one-directional: exact_transmit_power computes the true
-second moment from the coding state so the two can be compared, and
-check_feasible reports both verdicts side by side.  Its report holds one
-column per quantity over all relays, layer-major; the per-relay records
-(entries) are built only when read or serialized.
+(LayeredNetwork.least_received_powers).  The per-node functions read single
+entries of these arrays.  The condition is one-directional:
+exact_transmit_power computes the true second moment by propagating the
+gains (CodingState.transmit_powers reads a whole layer of one propagation)
+so the two can be compared, and check_feasible reports both verdicts side
+by side.  Its report holds one column per quantity over all relays,
+layer-major; the per-relay records (entries) are built only when read or
+serialized.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .coding import CodingState, propagate_coefficients
+from .coding import propagate_coefficients
 from .gains import GainAssignment
-from .network import LayeredNetwork, NodeId, RegimeSpec, safe_box
+from .network import LayeredNetwork, NodeId, RegimeSpec
 from .report import as_json, records_csv
 
 
@@ -45,17 +46,14 @@ def received_powers(net: LayeredNetwork, layer: int) -> np.ndarray:
     return net.received_powers[layer - 1]
 
 
-def safe_gains(net: LayeredNetwork, layer: int, delta: float | None = None) -> np.ndarray:
+def safe_gains(net: LayeredNetwork, layer: int) -> np.ndarray:
     """Largest |beta| of every relay of a layer under the sufficient power condition.
 
     Equals sqrt(P_k / ((1 + delta_k) * P_R)) with P_R the received power and
-    delta_k = 1/P_R, read-only from the network's cache, or a fresh array for
-    a uniform margin delta when one is given.
+    delta_k = 1/P_R, read-only from the network's cache.
     """
     net.require_relay_layer(layer)
-    if delta is None:
-        return net.safe_boxes[layer - 1]
-    return safe_box(net.relay_budgets[layer - 1], net.received_powers[layer - 1], delta)
+    return net.safe_boxes[layer - 1]
 
 
 def received_power(net: LayeredNetwork, k: NodeId) -> float:
@@ -93,18 +91,11 @@ def max_safe_gain(net: LayeredNetwork, k: NodeId) -> float:
     return float(safe_gains(net, k.layer)[k.index])
 
 
-def exact_transmit_power(
-    net: LayeredNetwork,
-    gains: GainAssignment,
-    k: NodeId,
-    state: CodingState | None = None,
-) -> float:
+def exact_transmit_power(net: LayeredNetwork, gains: GainAssignment, k: NodeId) -> float:
     """True second moment of node k's transmission, beta_k^2 * E[reception^2]."""
     if k.layer == 0:
         return net.source_power
-    if state is None:
-        state = propagate_coefficients(net, gains)
-    return float(state.transmit_powers(k.layer)[k.index])
+    return float(propagate_coefficients(net, gains).transmit_powers(k.layer)[k.index])
 
 
 # Slack for float round-trips like beta = sqrt(x) followed by beta^2 <= x.

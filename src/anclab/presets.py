@@ -2,9 +2,10 @@
 
 The two three-layer families back the repository's experiment configs: an
 asymmetric one whose middle hop is generic (full rank) and a wide-bottleneck
-one whose last relay layer holds n identical budget-limited nodes.  Gains
+one whose last relay layer holds n identical budget-limited nodes, its
+one-relay base replicated by sweep-n's replicate_last_relay_layer.  Gains
 and budgets are picked for the documented trend experiments, not taken from
-any external dataset.
+any external dataset.  rescale_to_delta refuses a nonpositive margin.
 """
 
 from __future__ import annotations
@@ -63,13 +64,9 @@ def wide_bottleneck_network(
     The n bottleneck relays share one budget and unit gains, so their summed
     received power grows linearly with n while each node stays power-limited.
     """
-    if n < 1:
-        raise ValueError("need at least one bottleneck relay")
-    h0 = np.array([[1.0], [1.0]])
-    h1 = np.ones((n, 2))
-    h2 = np.ones((1, n))
-    budgets = [1.0, 1.0] + [relay_budget] * n
-    return build_network([1, 2, n, 1], [h0, h1, h2], budgets, source_power)
+    h = [[[1.0], [1.0]], [[1.0, 1.0]], [[1.0]]]
+    base = build_network([1, 2, 1, 1], h, [1.0, 1.0, relay_budget], source_power)
+    return replicate_last_relay_layer(base, n, relay_budget)
 
 
 def replicate_last_relay_layer(

@@ -6,32 +6,19 @@ a network with one weak (exceptional) layer: relays outside that layer get
 the safe maximum computed with the single regime-wide margin, while the
 weak layer's gains are chosen so that each node's end-to-end contribution
 arrives at the destination with a common positive scale, i.e. the layer
-acts as a matched combiner subject to every node's power condition.
+acts as a matched combiner subject to every node's power condition.  It
+returns that scale's constant c1, the one number of the scheme that the
+lower bound reads.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .coding import destination_rows, visible_rows
 from .gains import GainAssignment
-from .network import LayeredNetwork, NodeId, RegimeSpec
+from .network import LayeredNetwork, NodeId, RegimeSpec, safe_box
 from .power import received_powers, regime_delta, safe_gains
-
-
-@dataclass(frozen=True)
-class SchemeParams:
-    """Matched-combiner quantities for the exceptional layer.
-
-    gamma[i] is beta * g of the layer's node i, its gain times its compound
-    downstream coefficient toward the destination: the per-node end-to-end
-    scale, equal to c1 * sqrt(received power) > 0.
-    """
-
-    c1: float
-    gamma: np.ndarray
 
 
 def full_power_gains(net: LayeredNetwork) -> GainAssignment:
@@ -53,15 +40,17 @@ def downstream_gains(net: LayeredNetwork, gains: GainAssignment, layer: int) -> 
     return destination_rows(net, gains.betas(net))[layer]
 
 
-def matched_gains(net: LayeredNetwork, spec: RegimeSpec) -> tuple[GainAssignment, SchemeParams]:
-    """Gain assignment for a network with one weak relay layer.
+def matched_gains(net: LayeredNetwork, spec: RegimeSpec) -> tuple[GainAssignment, float]:
+    """Gain assignment for a network with one weak relay layer, and its c1.
 
     Relays outside the exceptional layer transmit at the safe maximum taken
     with the uniform regime margin (never above their per-node maximum).
     Exceptional-layer nodes get beta_j = c1 * sqrt(P_R_j) / g_j with
     c1 = min_j (|g_j| / P_R_j) * sqrt(P_j / (1 + 1/P_R_j)), which equalizes
-    the destination-bound scales gamma_j = c1 * sqrt(P_R_j) and keeps every
-    node inside its per-node power condition.
+    the end-to-end weights gamma_j = beta_j * g_j = c1 * sqrt(P_R_j) and
+    keeps every node inside its per-node power condition.  g is
+    downstream_gains of the exceptional layer, so a caller reads gamma as
+    gains.layers[l - 1] * downstream_gains(net, gains, l).
 
     The exceptional layer is a relay layer.  A network with no weak relay
     layer is the case of [4]: full_power_gains, with high_snr_lower_bound.
@@ -69,11 +58,8 @@ def matched_gains(net: LayeredNetwork, spec: RegimeSpec) -> tuple[GainAssignment
     l = spec.exceptional_layer
     delta = regime_delta(net, spec)
 
-    layers = [
-        np.zeros(net.layer_sizes[layer]) if layer == l else safe_gains(net, layer, delta)
-        for layer in range(1, net.num_layers)
-    ]
-    g = visible_rows(net, [np.ones(1), *layers])[l]
+    layers = [safe_box(b, p_r, delta) for b, p_r in zip(net.relay_budgets, net.received_powers)]
+    g = visible_rows(net, [np.ones(1), *layers])[l]  # row l reads layers l+1.. only
     zero = np.flatnonzero(g == 0.0)  # visible_rows sets cancellation residue to 0.0
     if zero.size:
         raise ValueError(
@@ -82,4 +68,4 @@ def matched_gains(net: LayeredNetwork, spec: RegimeSpec) -> tuple[GainAssignment
     p_r = received_powers(net, l)
     c1 = float(np.min(np.abs(g) / p_r * np.sqrt(net.relay_budgets[l - 1] / (1.0 + 1.0 / p_r))))
     layers[l - 1] = c1 * np.sqrt(p_r) / g
-    return GainAssignment.from_layers(layers), SchemeParams(c1=c1, gamma=layers[l - 1] * g)
+    return GainAssignment.from_layers(layers), c1

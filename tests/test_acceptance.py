@@ -24,7 +24,6 @@ from anclab import (
     anc_rate,
     build_network,
     destination_snr,
-    exact_transmit_power,
     full_power_gains,
     matched_gains,
     optimize_gains,
@@ -70,7 +69,7 @@ def test_c01_transmit_power_soundness():
             state = propagate_coefficients(net, gains)
             for k in net.relays():
                 budget = net.relay_budgets[k.layer - 1][k.index]
-                excess = exact_transmit_power(net, gains, k, state=state) - budget
+                excess = state.transmit_powers(k.layer)[k.index] - budget
                 worst_excess = max(worst_excess, excess)
                 assert excess <= 1e-9, f"{k} exceeds budget by {excess}"
         # second assignment has every first-layer node at its box edge
@@ -79,7 +78,7 @@ def test_c01_transmit_power_soundness():
         for i in range(net.layer_sizes[1]):
             k = NodeId(1, i)
             budget = net.relay_budgets[0][i]
-            rel = abs(exact_transmit_power(net, gains, k, state=state) - budget) / budget
+            rel = abs(state.transmit_powers(k.layer)[k.index] - budget) / budget
             worst_first_layer = max(worst_first_layer, rel)
             assert rel <= 1e-12
     elapsed = time.perf_counter() - start
@@ -158,9 +157,9 @@ def test_c04_rate_sandwich():
         net = random_network(rng, coherent=True)
         l = int(rng.integers(1, net.num_layers))
         spec = RegimeSpec(exceptional_layer=l)
-        gains, params = matched_gains(net, spec)
+        gains, c1 = matched_gains(net, spec)
         achieved = anc_rate(destination_snr(net, gains))
-        lower = rate_lower_bound(net, spec, params)
+        lower = rate_lower_bound(net, spec, c1)
         upper = rate_upper_bound(net, spec)
         worst_low = max(worst_low, lower - achieved)
         worst_high = max(worst_high, achieved - upper)
@@ -181,8 +180,8 @@ def test_c05_margin_convergence():
     gaps = []
     for delta in [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6]:
         net = rescale_to_delta(base, 2, delta)
-        _, params = matched_gains(net, spec)
-        gaps.append(rate_upper_bound(net, spec) - rate_lower_bound(net, spec, params))
+        _, c1 = matched_gains(net, spec)
+        gaps.append(rate_upper_bound(net, spec) - rate_lower_bound(net, spec, c1))
     assert all(b < a for a, b in zip(gaps, gaps[1:])), gaps
     assert gaps[-1] < 0.01, gaps[-1]
     _verdict(
@@ -367,11 +366,11 @@ def test_c11_asymptotic_gap_and_its_condition():
     for p_s in (1e6, 1e9):
         for n in widths:
             net = wide_bottleneck_network(n, source_power=p_s)
-            _, params = matched_gains(net, spec)
-            _, c2, _ = lower_bound_terms(net, spec, params)
-            gap = rate_upper_bound(net, spec) - rate_lower_bound(net, spec, params)
+            _, c1 = matched_gains(net, spec)
+            _, c2, _ = lower_bound_terms(net, spec, c1)
+            gap = rate_upper_bound(net, spec) - rate_lower_bound(net, spec, c1)
             s = exceptional_power_sum(net, spec)
-            first_order = (regime_delta(net, spec) * s + c2 / (params.c1**2 * s)) / math.log(4)
+            first_order = (regime_delta(net, spec) * s + c2 / (c1**2 * s)) / math.log(4)
             deviation = abs(gap / first_order - 1.0)
             assert deviation < 0.05, (p_s, n, gap, first_order)
             worst = max(worst, deviation)

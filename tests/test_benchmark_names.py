@@ -4,7 +4,8 @@ perfbench/tracer.py names, per anclab module, the entry points whose calls
 and time make up each per-layer metric.  A name that disappears makes the
 tracer report zero for it instead of failing, so this checks every name
 against the package.  The benchmark's recorded inputs must also pass
-build_network's checks, or its workloads fail to set up.
+build_network's checks, or its workloads fail to set up, and a few of each
+workload's jobs must pass their own checks, as the benchmark runs them.
 """
 
 import importlib
@@ -30,6 +31,7 @@ def _perfbench_module(name: str):
 
 
 LAYERS = _perfbench_module("tracer").LAYERS
+WORKLOADS = _perfbench_module("workloads")
 
 
 @pytest.mark.parametrize("layer", sorted(LAYERS))
@@ -42,10 +44,26 @@ def test_traced_names_are_callable(layer):
 def test_benchmark_inputs_build():
     # simulate_wide's pool is the benchmark's only signed one, so the only one
     # whose received powers can cancel; simulate_pool_network builds each network.
-    workloads = _perfbench_module("workloads")
-    for index in range(workloads.SIMULATE_POOL):
-        workloads.simulate_pool_network(index)
+    for index in range(WORKLOADS.SIMULATE_POOL):
+        WORKLOADS.simulate_pool_network(index)
     configs = sorted((ROOT / "configs").glob("*.json"))
     assert len(configs) == 4
     for path in configs:
         load_network(str(path))
+
+
+@pytest.mark.parametrize("name", WORKLOADS.WORKLOADS)
+def test_benchmark_jobs_pass_their_checks(name, tmp_path):
+    # One job of every cli_small class pins each CLI output the benchmark
+    # compares with perfbench/refs; the library workloads run two jobs each.
+    workload = WORKLOADS.make_workload(name, 0, tmp_path)
+    try:
+        if name == "cli_small":
+            jobs = list({job.cls: job for job in workload.jobs}.values())
+            assert len(jobs) == len(WORKLOADS.cli_classes())
+        else:
+            jobs = workload.jobs[:2]
+        for job in jobs:
+            assert job.check(job.collect(job.run())) is None, f"{job.cls}: {job.label}"
+    finally:
+        workload.cleanup()

@@ -76,11 +76,11 @@ def test_upper_bound_rejects_destination_layer():
 def test_lower_bound_zero_margin_closed_form():
     net = asymmetric_three_layer()
     spec = RegimeSpec(exceptional_layer=2)
-    _, params = matched_gains(net, spec)
+    _, c1 = matched_gains(net, spec)
     s = exceptional_power_sum(net, spec)
-    rate, c2, c3 = lower_bound_terms(net, spec, params, delta=0.0)
+    rate, c2, c3 = lower_bound_terms(net, spec, c1, delta=0.0)
     assert c2 == 1.0  # geometric sum empty at the last relay layer
-    assert c3 == pytest.approx(1.0 + 1.0 / (params.c1**2 * s), rel=1e-12)
+    assert c3 == pytest.approx(1.0 + 1.0 / (c1**2 * s), rel=1e-12)
     assert rate == pytest.approx(anc_rate(s / c3), rel=1e-12)
 
 
@@ -93,10 +93,10 @@ def test_lower_bound_first_layer_exponent_vanishes():
         4.0,
     )
     spec = RegimeSpec(exceptional_layer=1)
-    _, params = matched_gains(net, spec)
+    _, c1 = matched_gains(net, spec)
     s = exceptional_power_sum(net, spec)
     delta = 0.05
-    rate, c2, c3 = lower_bound_terms(net, spec, params, delta=delta)
+    rate, c2, c3 = lower_bound_terms(net, spec, c1, delta=delta)
     p_rd = received_power(net, net.destination)
     assert c2 == pytest.approx(1.0 + delta * p_rd / (1.0 + delta), rel=1e-12)
     assert rate == pytest.approx(anc_rate(s / c3), rel=1e-12)
@@ -108,9 +108,9 @@ def test_sandwich_on_random_regime_instances():
         net = random_network(rng, coherent=True)
         l = int(rng.integers(1, net.num_layers))
         spec = RegimeSpec(exceptional_layer=l)
-        gains, params = matched_gains(net, spec)
+        gains, c1 = matched_gains(net, spec)
         achieved = anc_rate(destination_snr(net, gains))
-        assert rate_lower_bound(net, spec, params) - 1e-9 <= achieved
+        assert rate_lower_bound(net, spec, c1) - 1e-9 <= achieved
         assert achieved <= rate_upper_bound(net, spec) + 1e-9
 
 
@@ -226,8 +226,8 @@ def test_ideal_snr_approaches_power_sum():
 def test_bounds_report_serialization():
     net = asymmetric_three_layer()
     spec = RegimeSpec(exceptional_layer=2)
-    gains, params = matched_gains(net, spec)
-    report = bounds_report(net, spec, gains, params, scheme="generalized")
+    gains, c1 = matched_gains(net, spec)
+    report = bounds_report(net, spec, gains, c1, scheme="generalized")
     assert report.lower_bound - 1e-9 <= report.achieved_rate <= report.upper_bound + 1e-9
     csv = report.to_csv()
     assert csv.splitlines()[0].startswith("scheme,snr,achieved_rate")
@@ -241,9 +241,9 @@ def test_lower_bound_signed_counterexample():
     # achieves about 0.02697 bits against a closed-form lower bound of 0.02944.
     net = near_cancelling_network(0.5)
     spec = RegimeSpec(exceptional_layer=1)
-    gains, params = matched_gains(net, spec)
+    gains, c1 = matched_gains(net, spec)
     achieved = anc_rate(destination_snr(net, gains))
-    lower = rate_lower_bound(net, spec, params)
+    lower = rate_lower_bound(net, spec, c1)
     assert achieved == pytest.approx(0.02697, abs=1e-5)
     assert lower == pytest.approx(0.02944, abs=1e-5)
     assert lower > achieved

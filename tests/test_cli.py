@@ -333,7 +333,10 @@ def test_non_finite_grid_rejected(three_layer_file, grid, capsys):
 
 @pytest.mark.parametrize(
     "command, message",
-    [("sweep-ps", "source powers must be positive"), ("sweep-delta", "margins must be positive")],
+    [
+        ("sweep-ps", "source power must be strictly positive, got -1.0"),
+        ("sweep-delta", "margin must be positive"),
+    ],
     ids=["sweep-ps", "sweep-delta"],
 )
 def test_grid_with_leading_minus_reaches_validation(three_layer_file, command, message, capsys):
@@ -497,8 +500,22 @@ def test_option_without_effect_is_rejected(argv, chain_file, tmp_path, capsys):
             "cannot load network CANCEL: received power at 2:0 is 0.0; "
             "it and its reciprocal must be finite",
         ),
+        (
+            ["sweep-ps", "--network", "THREE_LAYER", "--layer", "2", "--grid", "1,abc"],
+            "bad grid '1,abc': could not convert string to float: 'abc'",
+        ),
+        (
+            ["sweep-ps", "--network", "THREE_LAYER", "--layer", "2", "--grid", ","],
+            "grid is empty",
+        ),
     ],
-    ids=["simulate-scheme-without-layer", "sweep-n-fractional-count", "sweep-delta-zero-power"],
+    ids=[
+        "simulate-scheme-without-layer",
+        "sweep-n-fractional-count",
+        "sweep-delta-zero-power",
+        "unparsable-grid",
+        "empty-grid",
+    ],
 )
 def test_input_check_is_one_error_line(argv, message, tmp_path, capsys):
     files = {"THREE_LAYER": str(CONFIGS / "three_layer.json"), "CANCEL": str(tmp_path / "c.json")}
@@ -522,6 +539,8 @@ def _network_file(path, sizes, matrices, budgets, source_power) -> str:
 
 _DIAMOND = [[[1.0], [1.0]], [[1.0, 1.0]]]
 _ONES_1221 = [[[1.0], [1.0]], [[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0]]]
+# 1:0 receives 1e-300, so the margin over all receiving layers is about 1e300.
+_CHAIN_1E300 = ([1, 1, 1, 1], [[[1.0]]] * 3, [1.0, 1.0], 1e-300)
 
 
 @pytest.mark.parametrize(
@@ -558,6 +577,16 @@ _ONES_1221 = [[[1.0], [1.0]], [[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0]]]
             ["bounds", "--layer", "1"],
             "c3 = 1 + c2 / (c1**2 * s) is out of float range at c1 = 1.4142135623730951e-307",
         ),
+        (
+            _CHAIN_1E300,
+            ["bounds", "--layer", "1"],
+            "(1 + delta) ** 2 overflows at margin delta = 9.999999999999999e+299",
+        ),
+        (
+            _CHAIN_1E300,
+            ["bounds", "--layer", "2"],
+            "(1 + delta) ** 2 overflows at margin delta = 9.999999999999999e+299",
+        ),
     ],
     ids=[
         "bounds-budgets-1e308",
@@ -566,6 +595,8 @@ _ONES_1221 = [[[1.0], [1.0]], [[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0]]]
         "simulate-source-1e160",
         "simulate-source-1e308",
         "bounds-budgets-1e-307",
+        "bounds-margin-1e300-layer-1",
+        "bounds-margin-1e300-layer-2",
     ],
 )
 def test_out_of_range_powers_are_one_error_line(network, argv, message, tmp_path, capsys):
@@ -596,3 +627,22 @@ def test_full_power_simulation_ignores_matched_scheme(tmp_path, capsys):
     assert captured.err == (
         "error: --layer applies to --scheme generalized, not to --scheme full_power\n"
     )
+
+
+def test_degenerate_noise_estimate_is_one_error_line(tmp_path, capsys):
+    # 32 bottleneck relays at full power: a 2**15-sample run can estimate a
+    # negative destination noise, which is refused, never shown as a rate.
+    path = tmp_path / "wide.json"
+    save_network(wide_bottleneck_network(32), str(path))
+    argv = ["simulate", "--network", str(path), "--scheme", "full_power", "--samples", "32768"]
+    refused = []
+    for seed in range(20):
+        code = main(argv + ["--seed", str(seed)])
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if code == 1:
+            refused.append(seed)
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1
+            assert captured.err.startswith("error: degenerate destination noise estimate ")
+    assert refused == [10, 13, 15]

@@ -65,6 +65,24 @@ def test_non_integer_layer_size_rejected(middle):
     assert build_network([1, 2.0, 1], [[[1.0], [1.0]], [[1.0, 1.0]]], [1.0, 1.0], 1.0)
 
 
+_DIAMOND = [[[1.0], [1.0]], [[1.0, 1.0]]]
+
+
+@pytest.mark.parametrize(
+    "sizes, matrices, budgets, message",
+    [
+        ([1], [], [], "need at least a source layer and a destination layer"),
+        ([1, 0, 1], [[], []], [], "layer sizes must be positive, got (1, 0, 1)"),
+        ([1, 2, 1], _DIAMOND[:1], [1.0, 1.0], "expected 2 gain matrices, got 1"),
+        ([1, 2, 1], _DIAMOND, [1.0] * 3, "expected 2 relay power budgets, got 3"),
+    ],
+    ids=["one-layer", "zero-layer-size", "matrix-count", "budget-count"],
+)
+def test_layer_structure_rejected(sizes, matrices, budgets, message):
+    with pytest.raises(NetworkValidationError, match=f"^{re.escape(message)}$"):
+        build_network(sizes, matrices, budgets, 1.0)
+
+
 def test_nonpositive_power_rejected():
     with pytest.raises(NetworkValidationError, match="positive"):
         build_network([1, 2, 1], [[[1.0], [1.0]], [[1.0, 1.0]]], [1.0, 0.0], 1.0)

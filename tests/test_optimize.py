@@ -16,7 +16,7 @@ from anclab import (
     optimize_gains,
 )
 from anclab.presets import asymmetric_three_layer, chain_network, rescale_to_delta
-from conftest import random_network
+from conftest import near_cancelling_network, random_network
 
 
 def test_single_relay_chain_optimum_at_box_edge():
@@ -136,3 +136,14 @@ def test_each_start_logs_one_debug_line(caplog, capsys):
         assert 1 <= sweeps <= anclab.optimize._MAX_SWEEPS and final <= snr
         assert record.getMessage() == f"start {start}: {sweeps} sweeps, SNR {final!r}"
     assert max(r.args[2] for r in records) == snr
+
+
+def test_matched_start_that_raises_is_skipped():
+    # The matched scheme with layer 1 refuses this network (1:0 is invisible at
+    # the destination); the optimizer drops that start and keeps the others.
+    net = near_cancelling_network(1e-13)
+    with pytest.raises(ValueError, match="1:0 is invisible"):
+        matched_gains(net, RegimeSpec(exceptional_layer=1))
+    gains, snr = optimize_gains(net, OptimizerConfig(restarts=1, seed=0))
+    assert snr == destination_snr(net, gains)
+    assert snr >= destination_snr(net, full_power_gains(net))

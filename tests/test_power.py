@@ -135,9 +135,9 @@ def test_analyze_pipeline_evaluates_each_layer_once(monkeypatch):
     net = network_from_dict(data)
     full = full_power_gains(net)
     spec = RegimeSpec(exceptional_layer=3)
-    matched, params = matched_gains(net, spec)
+    matched, c1 = matched_gains(net, spec)
     assert check_feasible(net, full).exact_ok
-    bounds_report(net, spec, matched, params, scheme="generalized")
+    bounds_report(net, spec, matched, c1, scheme="generalized")
     assert len(layers) == 6 and layers == [m.shape for m in net.gain_matrices]
 
 
@@ -197,7 +197,7 @@ def test_first_layer_equality_at_max_gain():
         state = propagate_coefficients(net, gains)
         for i in range(net.layer_sizes[1]):
             k = NodeId(1, i)
-            exact = exact_transmit_power(net, gains, k, state=state)
+            exact = state.transmit_powers(k.layer)[k.index]
             budget = net.relay_budgets[0][i]
             assert abs(exact - budget) <= 1e-12 * budget, f"{k}: {exact} vs {budget}"
 
@@ -215,7 +215,7 @@ def test_sufficient_condition_sound_for_coherent_networks():
         gains = random_box_gains(rng, net)
         state = propagate_coefficients(net, gains)
         for k in net.relays():
-            exact = exact_transmit_power(net, gains, k, state=state)
+            exact = state.transmit_powers(k.layer)[k.index]
             assert exact <= net.relay_budgets[k.layer - 1][k.index] + 1e-9
 
 

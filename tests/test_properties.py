@@ -192,9 +192,9 @@ def test_sign_gauge_keeps_snr(case, data):
 def test_matched_rate_between_bounds(net, data):
     layer = data.draw(st.integers(1, net.num_layers - 1))
     spec = RegimeSpec(exceptional_layer=layer)
-    gains, params = matched_gains(net, spec)
+    gains, c1 = matched_gains(net, spec)
     achieved = anc_rate(destination_snr(net, gains))
-    lower = rate_lower_bound(net, spec, params)
+    lower = rate_lower_bound(net, spec, c1)
     upper = rate_upper_bound(net, spec)
     assert lower - 1e-9 <= achieved <= upper + 1e-9, (lower, achieved, upper)
 
@@ -355,7 +355,7 @@ def _relay_layer_calls(net, layer):
     """Every function that takes a relay layer, or a node of one, called with layer."""
     full = full_power_gains(net)
     state = propagate_coefficients(net, full)
-    _, params = matched_gains(net, RegimeSpec(exceptional_layer=1))
+    _, c1 = matched_gains(net, RegimeSpec(exceptional_layer=1))
     spec = RegimeSpec(exceptional_layer=layer)
     node = NodeId(layer, 0)
     return {
@@ -364,7 +364,7 @@ def _relay_layer_calls(net, layer):
         "matched_gains": lambda: matched_gains(net, spec),
         "exceptional_power_sum": lambda: exceptional_power_sum(net, spec),
         "rate_upper_bound": lambda: rate_upper_bound(net, spec),
-        "lower_bound_terms": lambda: lower_bound_terms(net, spec, params),
+        "lower_bound_terms": lambda: lower_bound_terms(net, spec, c1),
         "rank_one_cutset": lambda: rank_one_cutset(net, spec),
         "rescale_to_delta": lambda: rescale_to_delta(net, layer, 0.1),
         "safe_gains": lambda: safe_gains(net, layer),

@@ -83,7 +83,7 @@ def test_downstream_gains_match_propagated_noise_coefficients():
 def test_matched_gains_symmetric_layer_hits_box():
     net = wide_bottleneck_network(4)
     spec = RegimeSpec(exceptional_layer=2)
-    gains, params = matched_gains(net, spec)
+    gains, _ = matched_gains(net, spec)
     betas = list(gains.layers[1])
     assert max(betas) - min(betas) <= 1e-12 * max(betas)
     for i in range(4):
@@ -95,7 +95,7 @@ def test_matched_gains_feasible_on_random_instances():
     for _ in range(50):
         net = random_network(rng, coherent=True)
         l = int(rng.integers(1, net.num_layers))
-        gains, params = matched_gains(net, RegimeSpec(exceptional_layer=l))
+        gains, _ = matched_gains(net, RegimeSpec(exceptional_layer=l))
         for k in net.relays():
             assert abs(gains.layers[k.layer - 1][k.index]) <= max_safe_gain(net, k) + 1e-12
         assert check_feasible(net, gains).sufficient_ok
@@ -106,9 +106,10 @@ def test_matched_combining_is_positive_and_equalized():
     for _ in range(30):
         net = random_network(rng, coherent=True)
         l = int(rng.integers(1, net.num_layers))
-        gains, params = matched_gains(net, RegimeSpec(exceptional_layer=l))
-        for i, gamma in enumerate(params.gamma):
-            expected = params.c1 * math.sqrt(received_power(net, NodeId(l, i)))
+        gains, c1 = matched_gains(net, RegimeSpec(exceptional_layer=l))
+        gammas = gains.layers[l - 1] * downstream_gains(net, gains, l)
+        for i, gamma in enumerate(gammas):
+            expected = c1 * math.sqrt(received_power(net, NodeId(l, i)))
             assert gamma > 0
             assert abs(gamma - expected) <= 1e-12 * expected
 
@@ -123,9 +124,9 @@ def test_matched_combining_positive_with_signed_downstream():
         100.0,
     )
     spec = RegimeSpec(exceptional_layer=2)
-    gains, params = matched_gains(net, spec)
+    gains, _ = matched_gains(net, spec)
     assert gains.layers[1][1] < 0
-    assert all(params.gamma > 0)
+    assert all(gains.layers[1] * downstream_gains(net, gains, 2) > 0)
 
 
 def test_matched_uniform_margin_never_exceeds_per_node():
@@ -162,8 +163,8 @@ def test_matched_rejects_invisible_node():
 def test_matched_rejects_cancelled_compound_gain():
     with pytest.raises(ValueError, match="1:0 is invisible"):
         matched_gains(near_cancelling_network(1e-13), RegimeSpec(exceptional_layer=1))
-    _, params = matched_gains(near_cancelling_network(1e-9), RegimeSpec(exceptional_layer=1))
-    assert params.c1 == 3.5353573242702135e-14
+    _, c1 = matched_gains(near_cancelling_network(1e-9), RegimeSpec(exceptional_layer=1))
+    assert c1 == 3.5353573242702135e-14
 
 
 def test_regime_spec_validation():
