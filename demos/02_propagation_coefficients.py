@@ -4,21 +4,15 @@ Every reception is a linear combination of the source symbol and all noises
 injected upstream.  The layered sweeps compute every coefficient as
 per-layer arrays: propagate_coefficients is the forward pass, and
 destination_rows the backward pass from every layer to the destination.
-Brute-force path enumeration recomputes any one of them as an independent
-cross-check.
+Brute-force path enumeration (anclab.oracle) recomputes any one of them as
+an independent cross-check.
 """
 
 import numpy as np
 
-from anclab import (
-    GainAssignment,
-    build_network,
-    count_paths,
-    enumerate_paths,
-    path_coefficient,
-    propagate_coefficients,
-)
+from anclab import GainAssignment, build_network, propagate_coefficients
 from anclab.coding import destination_rows
+from anclab.oracle import count_paths, enumerate_paths, path_coefficient
 
 rng = np.random.default_rng(7)
 net = build_network(

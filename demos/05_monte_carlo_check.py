@@ -15,6 +15,7 @@ from anclab import (
     simulate,
 )
 from anclab.presets import asymmetric_three_layer
+from anclab.report import json_text
 
 net = asymmetric_three_layer()
 gains, _ = matched_gains(net, RegimeSpec(exceptional_layer=2))
@@ -30,4 +31,4 @@ for check in result.checks:
 print("verdict:", "agree" if result.ok else "DISAGREE")
 
 again = simulate(net, gains, SimConfig(samples=400_000, seed=2026, workers=5))
-print("bit-identical across worker counts:", report.to_json() == again.to_json())
+print("bit-identical across worker counts:", json_text(report) == json_text(again))

@@ -27,7 +27,7 @@ from .coding import propagate_coefficients, visible_rows
 from .gains import GainAssignment
 from .network import LayeredNetwork, RegimeSpec
 from .power import power_margin, received_power, received_powers, regime_delta
-from .report import as_json, records_csv
+from .report import as_json
 
 
 def anc_rate(snr: float) -> float:
@@ -177,10 +177,6 @@ class BoundsReport:
 
     def to_dict(self) -> dict:
         return as_json(self)
-
-    def to_csv(self) -> str:
-        """Header plus one row."""
-        return records_csv(BoundsReport, [self])
 
 
 def bounds_report(

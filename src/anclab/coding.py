@@ -15,9 +15,9 @@ coefficient from a layer-l transmission to the destination) are read;
 visible_rows is the same sweep with cancellation residue dropped by the
 one residue rule, network.drop_residue.  These per-layer arrays are the
 interface: callers index them by layer and node, and no per-node accessor
-re-derives an entry.  path_coefficient is the one oracle: it recomputes a
-single coefficient by brute-force path enumeration from the hop matrices
-and gain layers, without the sweep.
+re-derives an entry.  The oracle that checks them, brute-force path
+enumeration, lives in anclab.oracle: it reads only gain_matrices and
+GainAssignment.betas(net), and no module of the package imports it.
 """
 
 from __future__ import annotations
@@ -27,14 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gains import GainAssignment
-from .network import LayeredNetwork, NodeId, drop_residue
-
-
-class TooManyPathsError(RuntimeError):
-    """Raised when path enumeration would exceed the combinatorial guard."""
-
-
-MAX_ENUMERATED_PATHS = 10**6
+from .network import LayeredNetwork, drop_residue
 
 
 @dataclass(frozen=True)
@@ -50,7 +43,7 @@ class CodingState:
     So the destination's signal coefficient is source[-1][0] and its noise
     power noise[-1][0].  A relay (l, i)'s noise reaches the destination
     scaled by betas[l][i] * destination_rows(net, betas)[l][i], the backward
-    sweep that this state does not run.  path_coefficient checks them.
+    sweep that this state does not run.  anclab.oracle checks them.
     """
 
     net: LayeredNetwork
@@ -111,69 +104,3 @@ def propagate_coefficients(net: LayeredNetwork, gains: GainAssignment) -> Coding
         source.append(s)
         noise.append((transfer * transfer).sum(axis=1) + 1.0)
     return CodingState(net=net, betas=betas, source=tuple(source), noise=tuple(noise))
-
-
-def count_paths(net: LayeredNetwork, origin: NodeId, target: NodeId) -> int:
-    """Number of relay paths from origin to target through nonzero gains."""
-    if target.layer <= origin.layer:
-        return 1 if target == origin else 0
-    counts = np.zeros(net.layer_sizes[origin.layer], dtype=np.int64)
-    counts[origin.index] = 1
-    for layer in range(origin.layer, target.layer):
-        adjacency = (net.gain_matrices[layer] != 0.0).astype(np.int64)
-        counts = adjacency @ counts
-    return int(counts[target.index])
-
-
-def enumerate_paths(
-    net: LayeredNetwork, origin: NodeId, target: NodeId
-) -> list[tuple[NodeId, ...]]:
-    """All relay paths origin -> target, one layer per hop, nonzero gains only."""
-    total = count_paths(net, origin, target)
-    if total > MAX_ENUMERATED_PATHS:
-        raise TooManyPathsError(
-            f"{total} paths from {origin} to {target} exceed the "
-            f"{MAX_ENUMERATED_PATHS} enumeration guard"
-        )
-    paths: list[tuple[NodeId, ...]] = []
-
-    def extend(prefix: list[NodeId]) -> None:
-        tail = prefix[-1]
-        if tail.layer == target.layer:
-            if tail == target:
-                paths.append(tuple(prefix))
-            return
-        column = net.gain_matrices[tail.layer][:, tail.index]
-        for nxt in np.flatnonzero(column != 0.0):
-            prefix.append(NodeId(tail.layer + 1, int(nxt)))
-            extend(prefix)
-            prefix.pop()
-
-    if target.layer > origin.layer:
-        extend([origin])
-    elif target == origin:
-        paths.append((origin,))
-    return paths
-
-
-def path_coefficient(
-    net: LayeredNetwork, gains: GainAssignment, origin: NodeId, target: NodeId
-) -> float:
-    """Coefficient from origin to target by explicit path enumeration.
-
-    Sums, over every path, the product of beta * h along the hops, starting
-    with the origin's own amplification.  Reads the hop matrices and the
-    gain tuple betas(net) itself, independent of the layered sweep; guarded
-    against combinatorial blow-up.
-    """
-    betas = gains.betas(net)
-    if target == origin:
-        return 1.0
-    total = 0.0
-    for path in enumerate_paths(net, origin, target):
-        product = 1.0
-        for a, b in zip(path, path[1:]):
-            h = net.gain_matrices[a.layer][b.index, a.index]
-            product *= float(betas[a.layer][a.index] * h)
-        total += product
-    return total

@@ -28,10 +28,13 @@ from .bounds import destination_snr
 from .coding import propagate_coefficients
 from .gains import GainAssignment
 from .network import LayeredNetwork, NodeId, require_int_fields
-from .report import as_json, json_text, records_csv
+from .report import as_json, records_csv
 
 _BLOCK = 1 << 15
 _PASS = 1 << 11
+# Each worker is a thread that runs whole blocks, so a long run starts up to
+# this many threads; a larger count is refused before any pool exists.
+MAX_WORKERS = 64
 
 
 @dataclass(frozen=True)
@@ -42,6 +45,8 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         require_int_fields(self, (("samples", 2), ("seed", 0), ("workers", 1)))
+        if self.workers > MAX_WORKERS:
+            raise ValueError(f"workers must be at most {MAX_WORKERS}, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -60,9 +65,6 @@ class SimReport:
 
     def to_dict(self) -> dict:
         return as_json(self)
-
-    def to_json(self) -> str:
-        return json_text(self)
 
 
 def _block_sums(net, betas, seed, block, size):
@@ -168,7 +170,10 @@ def simulate(net: LayeredNetwork, gains: GainAssignment, config: SimConfig) -> S
 
     # Delta method for the SNR standard error in terms of (f_hat, vy).
     cov_u_v = (s_y3x / n - (s_yx / n) * vy) / (n * p_s)
-    var_u = var_yx / (n * p_s * p_s)
+    u_scale = n * p_s * p_s
+    if u_scale == 0.0:
+        raise ValueError(f"source power {p_s!r} too small to simulate: n * P_S**2 underflows")
+    var_u = var_yx / u_scale
     var_v = var_y2 / n
     d_u = 2.0 * f_hat * p_s * vy / (noise_hat * noise_hat)
     d_v = -f_hat * f_hat * p_s / (noise_hat * noise_hat)

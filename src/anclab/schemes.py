@@ -58,8 +58,13 @@ def matched_gains(net: LayeredNetwork, spec: RegimeSpec) -> tuple[GainAssignment
     l = spec.exceptional_layer
     delta = regime_delta(net, spec)
 
-    layers = [safe_box(b, p_r, delta) for b, p_r in zip(net.relay_budgets, net.received_powers)]
-    g = visible_rows(net, [np.ones(1), *layers])[l]  # row l reads layers l+1.. only
+    # Layer l's slot is a placeholder, set below: row l reads layers l+1.. only,
+    # and zeros keep the discarded rows above it finite.
+    layers = [
+        np.zeros_like(b) if k == l else safe_box(b, p_r, delta)
+        for k, (b, p_r) in enumerate(zip(net.relay_budgets, net.received_powers), start=1)
+    ]
+    g = visible_rows(net, [np.ones(1), *layers])[l]
     zero = np.flatnonzero(g == 0.0)  # visible_rows sets cancellation residue to 0.0
     if zero.size:
         raise ValueError(

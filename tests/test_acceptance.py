@@ -27,7 +27,6 @@ from anclab import (
     full_power_gains,
     matched_gains,
     optimize_gains,
-    path_coefficient,
     propagate_coefficients,
     rank_one_cutset,
     rate_lower_bound,
@@ -40,6 +39,7 @@ from anclab import (
 )
 from anclab.bounds import exceptional_power_sum, lower_bound_terms
 from anclab.cli import main
+from anclab.oracle import path_coefficient
 from anclab.presets import (
     asymmetric_three_layer,
     chain_network,

@@ -19,8 +19,10 @@ from anclab import (
     rate_lower_bound,
     rate_upper_bound,
     received_power,
+    save_network,
 )
 from anclab.bounds import exceptional_power_sum, lower_bound_terms
+from anclab.cli import main
 from anclab.presets import (
     asymmetric_three_layer,
     chain_network,
@@ -223,13 +225,16 @@ def test_ideal_snr_approaches_power_sum():
     assert previous_error < 1e-4
 
 
-def test_bounds_report_serialization():
+def test_bounds_report_serialization(tmp_path, capsys):
     net = asymmetric_three_layer()
     spec = RegimeSpec(exceptional_layer=2)
     gains, c1 = matched_gains(net, spec)
     report = bounds_report(net, spec, gains, c1, scheme="generalized")
     assert report.lower_bound - 1e-9 <= report.achieved_rate <= report.upper_bound + 1e-9
-    csv = report.to_csv()
+    path = tmp_path / "net.json"
+    save_network(net, str(path))
+    assert main(["bounds", "--network", str(path), "--layer", "2"]) == 0
+    csv = capsys.readouterr().out
     assert csv.splitlines()[0].startswith("scheme,snr,achieved_rate")
     data = report.to_dict()
     assert data["rank_one_cutset"] is None

@@ -508,6 +508,10 @@ def test_option_without_effect_is_rejected(argv, chain_file, tmp_path, capsys):
             ["sweep-ps", "--network", "THREE_LAYER", "--layer", "2", "--grid", ","],
             "grid is empty",
         ),
+        (
+            ["simulate", "--network", "THREE_LAYER", "--scheme", "full_power", "--workers", "65"],
+            "workers must be at most 64, got 65",
+        ),
     ],
     ids=[
         "simulate-scheme-without-layer",
@@ -515,6 +519,7 @@ def test_option_without_effect_is_rejected(argv, chain_file, tmp_path, capsys):
         "sweep-delta-zero-power",
         "unparsable-grid",
         "empty-grid",
+        "simulate-workers-above-limit",
     ],
 )
 def test_input_check_is_one_error_line(argv, message, tmp_path, capsys):
@@ -573,6 +578,11 @@ _CHAIN_1E300 = ([1, 1, 1, 1], [[[1.0]]] * 3, [1.0, 1.0], 1e-300)
             "moment sums overflow float64; powers too large to simulate",
         ),
         (
+            ([1, 1], [[[-1.6383928415792068]]], [], 1e-200),
+            ["simulate", "--scheme", "full_power", "--samples", "64"],
+            "source power 1e-200 too small to simulate: n * P_S**2 underflows",
+        ),
+        (
             ([1, 2, 2, 1], _ONES_1221, [1e-307] * 4, 1.0),
             ["bounds", "--layer", "1"],
             "c3 = 1 + c2 / (c1**2 * s) is out of float range at c1 = 1.4142135623730951e-307",
@@ -594,6 +604,7 @@ _CHAIN_1E300 = ([1, 1, 1, 1], [[[1.0]]] * 3, [1.0, 1.0], 1e-300)
         "sweep-ps-1e308",
         "simulate-source-1e160",
         "simulate-source-1e308",
+        "simulate-source-1e-200",
         "bounds-budgets-1e-307",
         "bounds-margin-1e300-layer-1",
         "bounds-margin-1e300-layer-2",

@@ -1,18 +1,9 @@
 import numpy as np
 import pytest
 
-from anclab import (
-    GainAssignment,
-    LayeredNetwork,
-    NodeId,
-    TooManyPathsError,
-    build_network,
-    count_paths,
-    enumerate_paths,
-    path_coefficient,
-    propagate_coefficients,
-)
+from anclab import GainAssignment, LayeredNetwork, NodeId, build_network, propagate_coefficients
 from anclab.coding import destination_rows
+from anclab.oracle import TooManyPathsError, count_paths, enumerate_paths, path_coefficient
 from anclab.presets import chain_network, diamond_network
 from conftest import random_network, swept_coefficients
 
@@ -128,7 +119,7 @@ def test_zero_gain_cut_kills_signal():
     assert state.source[-1][0] == 0.0
 
 
-def test_path_count_and_guard():
+def test_path_count_and_guard(monkeypatch):
     net = build_network(
         [1, 3, 3, 1],
         [np.ones((3, 1)), np.ones((3, 3)), np.ones((1, 3))],
@@ -138,15 +129,9 @@ def test_path_count_and_guard():
     assert count_paths(net, net.source, net.destination) == 9
     assert len(enumerate_paths(net, net.source, net.destination)) == 9
 
-    import anclab.coding as coding
-
-    old = coding.MAX_ENUMERATED_PATHS
-    coding.MAX_ENUMERATED_PATHS = 5
-    try:
-        with pytest.raises(TooManyPathsError):
-            enumerate_paths(net, net.source, net.destination)
-    finally:
-        coding.MAX_ENUMERATED_PATHS = old
+    monkeypatch.setattr("anclab.oracle.MAX_ENUMERATED_PATHS", 5)
+    with pytest.raises(TooManyPathsError):
+        enumerate_paths(net, net.source, net.destination)
 
 
 def test_paths_cross_one_layer_per_hop():

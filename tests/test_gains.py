@@ -11,10 +11,10 @@ from anclab import (
     downstream_gains,
     gains_from_dict,
     gains_to_dict,
-    path_coefficient,
     propagate_coefficients,
     simulate,
 )
+from anclab.oracle import path_coefficient
 from anclab.presets import asymmetric_three_layer, diamond_network
 from conftest import random_box_gains, random_network
 

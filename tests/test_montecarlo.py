@@ -14,8 +14,9 @@ from anclab import (
     exact_transmit_power,
     simulate,
 )
-from anclab.montecarlo import _PASS, _block_sums
+from anclab.montecarlo import _PASS, MAX_WORKERS, _block_sums
 from anclab.presets import chain_network, diamond_network
+from anclab.report import json_text
 from conftest import per_node_block_sums, random_box_gains, random_network
 
 
@@ -54,7 +55,7 @@ def test_bit_identical_reports_for_fixed_seed():
     gains = GainAssignment.from_layers([[0.6, 0.4]])
     a = simulate(net, gains, SimConfig(samples=150_000, seed=5, workers=1))
     b = simulate(net, gains, SimConfig(samples=150_000, seed=5, workers=1))
-    assert a.to_json() == b.to_json()
+    assert json_text(a) == json_text(b)
 
 
 def test_worker_count_does_not_change_results():
@@ -62,7 +63,7 @@ def test_worker_count_does_not_change_results():
     gains = GainAssignment.from_layers([[0.6, 0.4]])
     a = simulate(net, gains, SimConfig(samples=150_000, seed=5, workers=1))
     b = simulate(net, gains, SimConfig(samples=150_000, seed=5, workers=3))
-    assert a.to_json() == b.to_json()
+    assert json_text(a) == json_text(b)
 
 
 def test_seed_changes_results():
@@ -128,12 +129,21 @@ def test_sim_config_validation():
         SimConfig(samples=0)
     with pytest.raises(ValueError):
         SimConfig(workers=0)
+    assert SimConfig(workers=MAX_WORKERS).workers == MAX_WORKERS  # builds no pool
+
+
+def test_source_power_whose_square_underflows_is_refused():
+    net = build_network([1, 1], [[[-1.6383928415792068]]], [], 1e-200)
+    gains = GainAssignment.from_layers([])
+    with pytest.raises(ValueError, match="source power 1e-200 too small to simulate"):
+        simulate(net, gains, SimConfig(samples=64))
 
 
 @pytest.mark.parametrize(
     "field, value",
     [
         ("workers", 1.5),
+        ("workers", MAX_WORKERS + 1),
         ("samples", True),
         ("seed", -1),
         ("seed", 1.5),

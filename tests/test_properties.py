@@ -36,7 +36,6 @@ from anclab import (
     max_safe_gain,
     network_from_dict,
     network_to_dict,
-    path_coefficient,
     propagate_coefficients,
     rank_one_cutset,
     rate_lower_bound,
@@ -47,6 +46,7 @@ from anclab.bounds import exceptional_power_sum, lower_bound_terms
 from anclab.coding import destination_rows, forward_hop, visible_rows
 from anclab.montecarlo import _block_sums
 from anclab.optimize import _ascend, _best_gain, _sweep_layer
+from anclab.oracle import path_coefficient
 from anclab.power import safe_gains
 from anclab.presets import rescale_to_delta
 from conftest import (

@@ -13,10 +13,10 @@ from anclab import (
     full_power_gains,
     matched_gains,
     max_safe_gain,
-    path_coefficient,
     received_power,
     regime_delta,
 )
+from anclab.oracle import path_coefficient
 from anclab.presets import asymmetric_three_layer, chain_network, wide_bottleneck_network
 from conftest import near_cancelling_network, random_network
 
@@ -139,6 +139,15 @@ def test_matched_uniform_margin_never_exceeds_per_node():
             for layer, (got, want) in enumerate(zip(gains.layers, full.layers), start=1):
                 if layer != l:
                     assert np.all(got <= want + 1e-15)
+
+
+def test_matched_builds_no_box_for_the_exceptional_layer():
+    # Relay 1:2's uniform-margin box, 1e300 / 1e-300, would overflow, but
+    # layer 1's gains come from the matched rule, so the box is never built.
+    net = build_network([1, 3, 1], [np.ones((3, 1)), np.ones((1, 3))], [1.0, 1.0, 1e300], 1e-300)
+    gains, c1 = matched_gains(net, RegimeSpec(exceptional_layer=1))
+    assert c1 == 1e150
+    assert list(gains.layers[0]) == [1.0, 1.0, 1.0]
 
 
 def test_matched_rejects_invisible_node():
