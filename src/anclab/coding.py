@@ -18,6 +18,17 @@ interface: callers index them by layer and node, and no per-node accessor
 re-derives an entry.  The oracle that checks them, brute-force path
 enumeration, lives in anclab.oracle: it reads only gain_matrices and
 GainAssignment.betas(net), and no module of the package imports it.
+
+forward_hop and destination_rows also take a stack of S gain assignments,
+one (S, n_l) array per layer, and every array they return then carries the
+same leading axis.  The
+optimizer ascends its starts this way, one numpy call per layer product for
+the whole stack.  A stacked call gives every assignment the bits of its own
+unstacked call, because each product keeps an explicit unit axis, so numpy
+runs it per assignment as the same matrix-vector or row-matrix product:
+(h @ x[..., None])[..., 0] and rows of shape (..., 1, n).  A flattened
+(S, n) @ (n, m) product goes through a different BLAS kernel and can differ
+in the last bit.
 """
 
 from __future__ import annotations
@@ -64,13 +75,16 @@ def destination_rows(net: LayeredNetwork, betas, matrices=None) -> list[np.ndarr
 
     betas[l] is read for layers 1..L-1 only; r_l excludes layer l's own gain,
     so betas[l] * r_l is the destination coefficient of a layer-l noise.
-    matrices, if given, stand in for the hop matrices H_l.
+    matrices, if given, stand in for the hop matrices H_l.  Stacked betas,
+    one (S, n_l) array per layer, give (S, n_l) rows, r_{L-1} repeated.
     """
     h = matrices or net.gain_matrices
-    rows = [h[-1]]  # shape (1, n_{L-1})
+    # Shape (S, 1, n_{L-1}) for a stack: a row-matrix product per assignment.
+    last = betas[-1]
+    rows = [h[-1][np.newaxis].repeat(len(last), axis=0) if np.ndim(last) > 1 else h[-1]]
     for layer in range(net.num_layers - 1, 0, -1):
-        rows.append((rows[-1] * betas[layer]) @ h[layer - 1])
-    return [row[0] for row in reversed(rows)]
+        rows.append((rows[-1] * betas[layer][..., np.newaxis, :]) @ h[layer - 1])
+    return [row[..., 0, :] for row in reversed(rows)]
 
 
 def visible_rows(net: LayeredNetwork, betas) -> list[np.ndarray]:
@@ -84,13 +98,14 @@ def forward_hop(net: LayeredNetwork, betas, layer: int, source, transfer):
     """Source vector and noise transfer matrix one hop on, at layer + 1.
 
     transfer maps every relay noise of layers 1..layer-1 (columns layer-major)
-    to layer; this layer's own noises join scaled by their gains.
+    to layer; this layer's own noises join scaled by their gains.  Stacked
+    betas, source or transfer give a stacked result.
     """
     h, beta = net.gain_matrices[layer], betas[layer]
-    transfer = h @ (beta[:, np.newaxis] * transfer)
+    transfer = h @ (beta[..., :, np.newaxis] * transfer)
     if layer > 0:
-        transfer = np.concatenate([transfer, h * beta], axis=1)
-    return h @ (source * beta), transfer
+        transfer = np.concatenate([transfer, h * beta[..., np.newaxis, :]], axis=-1)
+    return (h @ (source * beta)[..., np.newaxis])[..., 0], transfer
 
 
 def propagate_coefficients(net: LayeredNetwork, gains: GainAssignment) -> CodingState:

@@ -13,6 +13,8 @@ lower bound reads.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .coding import destination_rows, visible_rows
@@ -58,19 +60,33 @@ def matched_gains(net: LayeredNetwork, spec: RegimeSpec) -> tuple[GainAssignment
     l = spec.exceptional_layer
     delta = regime_delta(net, spec)
 
-    # Layer l's slot is a placeholder, set below: row l reads layers l+1.. only,
-    # and zeros keep the discarded rows above it finite.
-    layers = [
-        np.zeros_like(b) if k == l else safe_box(b, p_r, delta)
-        for k, (b, p_r) in enumerate(zip(net.relay_budgets, net.received_powers), start=1)
-    ]
-    g = visible_rows(net, [np.ones(1), *layers])[l]
-    zero = np.flatnonzero(g == 0.0)  # visible_rows sets cancellation residue to 0.0
-    if zero.size:
-        raise ValueError(
-            f"{NodeId(l, int(zero[0]))} is invisible at the destination (compound gain zero)"
-        )
-    p_r = received_powers(net, l)
-    c1 = float(np.min(np.abs(g) / p_r * np.sqrt(net.relay_budgets[l - 1] / (1.0 + 1.0 / p_r))))
-    layers[l - 1] = c1 * np.sqrt(p_r) / g
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+        # Layer l's slot is a placeholder, set below: row l reads layers l+1..
+        # only, and zeros keep the discarded rows above it finite.
+        layers = [
+            np.zeros_like(b) if k == l else safe_box(b, p_r, delta)
+            for k, (b, p_r) in enumerate(zip(net.relay_budgets, net.received_powers), start=1)
+        ]
+        # (1 + delta) * P_R can overflow, which makes a box, and so a gain, 0.
+        for k, box in enumerate(layers, start=1):
+            if k != l and not box.all():
+                raise ValueError(
+                    f"safe gains sqrt(P / ((1 + delta) * P_R)) of layer {k} are out of "
+                    f"float range at margin delta = {delta}"
+                )
+        g = visible_rows(net, [np.ones(1), *layers])[l]
+        zero = np.flatnonzero(g == 0.0)  # visible_rows sets cancellation residue to 0.0
+        if zero.size:
+            raise ValueError(
+                f"{NodeId(l, int(zero[0]))} is invisible at the destination (compound gain zero)"
+            )
+        p_r = received_powers(net, l)
+        # |g_j| / P_R_j can overflow; the min is right unless every term does.
+        c1 = float(np.min(np.abs(g) / p_r * np.sqrt(net.relay_budgets[l - 1] / (1.0 + 1.0 / p_r))))
+        if not 0.0 < c1 < math.inf:
+            raise ValueError(
+                f"c1 = min_j |g_j| / P_R_j * sqrt(P_j / (1 + 1/P_R_j)) is out of float range "
+                f"at exceptional layer {l}"
+            )
+        layers[l - 1] = c1 * np.sqrt(p_r) / g
     return GainAssignment.from_layers(layers), c1

@@ -8,6 +8,7 @@ from anclab import (
     SimConfig,
     agreement_check,
     analytic_moments,
+    destination_snr,
     save_gains,
     save_network,
     simulate,
@@ -199,6 +200,18 @@ def test_simulate_flags_infeasible_gains(chain_file, tmp_path, capsys):
     assert "violated" in capsys.readouterr().err
     payload = json.loads((tmp_path / "r.json").read_text())
     assert payload["feasibility"]["exact_ok"] is False
+
+
+def test_optimize_on_one_hop_network(tmp_path, capsys):
+    # No relay, so no gain to choose: the empty assignment and its SNR.
+    net = chain_network(hops=1)
+    path = tmp_path / "hop.json"
+    save_network(net, str(path))
+    assert main(["optimize", "--network", str(path), "--restarts", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out) == {"beta": {}, "rate": 0.5, "snr": 1.0}
+    assert destination_snr(net, GainAssignment(layers=())) == 1.0
 
 
 def test_optimize_round_trips_into_simulate(chain_file, tmp_path):
@@ -546,6 +559,14 @@ _DIAMOND = [[[1.0], [1.0]], [[1.0, 1.0]]]
 _ONES_1221 = [[[1.0], [1.0]], [[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0]]]
 # 1:0 receives 1e-300, so the margin over all receiving layers is about 1e300.
 _CHAIN_1E300 = ([1, 1, 1, 1], [[[1.0]]] * 3, [1.0, 1.0], 1e-300)
+# 2:0's budget of 1e-12 sets a margin of about 3.9e11; at source power 1e300,
+# (1 + delta) * P_R of 1:0 overflows.
+_WEAK_LAST_RELAY = (
+    [1, 1, 1, 1],
+    [[[0.1]], [[1.950588220699942]], [[-1.6086063442795737]]],
+    [1.3174032014860635, 1e-12],
+    63.20134844142824,
+)
 
 
 @pytest.mark.parametrize(
@@ -597,6 +618,18 @@ _CHAIN_1E300 = ([1, 1, 1, 1], [[[1.0]]] * 3, [1.0, 1.0], 1e-300)
             ["bounds", "--layer", "2"],
             "(1 + delta) ** 2 overflows at margin delta = 9.999999999999999e+299",
         ),
+        (
+            _WEAK_LAST_RELAY,
+            ["sweep-ps", "--layer", "2", "--grid", "1e-300,1e300"],
+            "safe gains sqrt(P / ((1 + delta) * P_R)) of layer 1 are out of float range "
+            "at margin delta = 386456348079.79614",
+        ),
+        (
+            ([1, 1, 1], [[[1.0]], [[1e150]]], [1.0], 1e-300),
+            ["bounds", "--layer", "1"],
+            "c1 = min_j |g_j| / P_R_j * sqrt(P_j / (1 + 1/P_R_j)) is out of float range "
+            "at exceptional layer 1",
+        ),
     ],
     ids=[
         "bounds-budgets-1e308",
@@ -608,6 +641,8 @@ _CHAIN_1E300 = ([1, 1, 1, 1], [[[1.0]]] * 3, [1.0, 1.0], 1e-300)
         "bounds-budgets-1e-307",
         "bounds-margin-1e300-layer-1",
         "bounds-margin-1e300-layer-2",
+        "sweep-ps-safe-box-overflow",
+        "bounds-c1-overflow",
     ],
 )
 def test_out_of_range_powers_are_one_error_line(network, argv, message, tmp_path, capsys):
@@ -621,6 +656,25 @@ def test_out_of_range_powers_are_one_error_line(network, argv, message, tmp_path
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message.replace('NET', path)}\n"
+
+
+def test_overflowing_c1_term_that_is_not_the_min_is_silent(tmp_path, capsys):
+    # At source power 1e-300, |g| / P_R of 1:1 overflows to inf, but 1:0's
+    # term is the min, so c1 and every row are finite and printed, unwarned.
+    network = ([1, 2, 1], [[[-0.6258], [0.5545]], [[0.2, 1e150]]], [1.0, 1.0], 1.0)
+    path = _network_file(tmp_path / "net.json", *network)
+    argv = ["sweep-ps", "--layer", "1", "--grid", "1e-300,1", "--network", path]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [
+        "source_power,rate_matched,rate_full_power,upper_bound,lower_bound,"
+        "gap_matched,gap_full_power",
+        "1e-300,4.87016664731e-304,2.21792902448e-301,5.04291086804e-301,"
+        "3.36088340294e-302,5.0380407014e-301,2.82498184356e-301",
+        "1,0.000356563328454,0.19338905998,0.382383637304,0.0242018073994,"
+        "0.382027073975,0.188994577324",
+    ]
 
 
 def test_full_power_simulation_ignores_matched_scheme(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 import anclab.optimize
 from anclab import (
+    GainAssignment,
     NodeId,
     OptimizerConfig,
     RegimeSpec,
@@ -25,6 +26,13 @@ def test_single_relay_chain_optimum_at_box_edge():
     b_max = max_safe_gain(net, NodeId(1, 0))
     assert abs(gains.layers[0][0]) == pytest.approx(b_max, rel=1e-12)
     assert snr == pytest.approx(1.0 / 3.0, rel=1e-12)
+
+
+def test_one_hop_network_has_no_gain_to_optimize():
+    net = chain_network(hops=1)
+    gains, snr = optimize_gains(net, OptimizerConfig(restarts=2))
+    assert gains == GainAssignment(layers=())
+    assert snr == 1.0 == destination_snr(net, gains)
 
 
 def test_never_below_scheme_seeds():

@@ -1,14 +1,16 @@
-"""Property-based checks on generated networks: the coding core, the
-optimizer's layer sweep and its SNR, the rate sandwich, JSON round trips,
-the feasibility report, the Monte Carlo block kernel and the relay-layer
-range every layer-taking function accepts.
+"""Property-based checks on generated networks: the coding core and its
+stack axis, the optimizer's layer sweep, its SNR and its lockstep starts,
+the rate sandwich, JSON round trips, the feasibility report, the Monte Carlo
+block kernel and the relay-layer range every layer-taking function accepts.
 
 Networks have 2..4 hops and up to 3 nodes per relay layer, so the path
-oracle stays cheap.  Runs are derandomized, so every run checks the same
-examples and a failure reproduces.
+oracle stays cheap; the stack-axis checks take layers up to 8 wide, where a
+flattened matrix product can round differently.  Runs are derandomized, so
+every run checks the same examples and a failure reproduces.
 """
 
 import json
+import logging
 import re
 
 import numpy as np
@@ -17,10 +19,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import anclab.optimize
 from anclab import (
     GainAssignment,
     NetworkValidationError,
     NodeId,
+    OptimizerConfig,
     RegimeSpec,
     anc_rate,
     build_network,
@@ -36,6 +40,7 @@ from anclab import (
     max_safe_gain,
     network_from_dict,
     network_to_dict,
+    optimize_gains,
     propagate_coefficients,
     rank_one_cutset,
     rate_lower_bound,
@@ -61,11 +66,11 @@ PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, 
 
 
 @st.composite
-def networks(draw, signed: bool):
+def networks(draw, signed: bool, max_width: int = 3):
     """A valid network; coherent (positive channel gains) unless signed.  Signed
     gains can cancel a received power; build_network refuses such a draw, and
     it is discarded."""
-    sizes = [1] + draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)) + [1]
+    sizes = [1] + draw(st.lists(st.integers(1, max_width), min_size=1, max_size=3)) + [1]
     magnitudes = st.floats(0.1, 2.0)
     matrices = []
     for l in range(len(sizes) - 1):
@@ -254,9 +259,12 @@ def test_layer_sweep_matches_fresh_propagation(case, data):
     box = data.draw(arrays(np.float64, net.layer_sizes[layer], elements=st.floats(0.1, 2.0)))
     betas = [np.ones(1)] + [arr.copy() for arr in gains.layers]
     abs_betas = [np.ones(1)] + [arr.copy() for arr in abs_gains.layers]
-    forward = (np.ones(1), np.zeros((1, 0)))
+    # A stack of one start whose gain rows are views of betas, so the sweep's
+    # steps show in betas as they are taken.
+    stack = betas[:1] + [arr[np.newaxis] for arr in betas[1:]]
+    forward = (np.ones((1, 1)), np.zeros((1, 1, 0)))
     for l in range(layer):
-        forward = forward_hop(net, betas, l, *forward)
+        forward = forward_hop(net, stack, l, *forward)
     steps = []
 
     def recording(a0, a1, q0, q1, q2, box_i, power):
@@ -267,8 +275,8 @@ def test_layer_sweep_matches_fresh_propagation(case, data):
         abs_betas[layer][i] = abs(b)
         return b
 
-    rows = destination_rows(net, betas)
-    f, noise_power = _sweep_layer(net, betas, layer, box, forward, rows, recording)
+    rows = destination_rows(net, stack)
+    (f,), (noise_power,) = _sweep_layer(net, stack, layer, box, forward, rows, recording)
     assert len(steps) == net.layer_sizes[layer]
     for got, want, scale in steps:
         # Signal pair and noise triple, each against its own magnitude.
@@ -329,15 +337,98 @@ def test_best_gain_matches_max_over_candidates(a0, a1, x, y, box, power):
 @given(networks(signed=True), st.data())
 def test_ascent_snr_is_that_of_its_gains(net, data):
     # After k = 1, 2, 3 sweeps the SNR read off the sweep's own forward pass
-    # equals a fresh propagation's, bit for bit.
+    # equals a fresh propagation's, bit for bit, for a start alone and for
+    # every start of a stack of three.
     boxes = [safe_gains(net, layer) for layer in range(1, net.num_layers)]
-    start = [
-        box * data.draw(arrays(np.float64, box.size, elements=st.floats(-1.0, 1.0)))
-        for box in boxes
+    starts = [
+        [
+            box * data.draw(arrays(np.float64, box.size, elements=st.floats(-1.0, 1.0)))
+            for box in boxes
+        ]
+        for _ in range(3)
     ]
     for sweeps in (1, 2, 3):
-        layers, snr = _ascend(net, start, boxes, sweeps)
-        assert snr == destination_snr(net, GainAssignment.from_layers(layers))
+        for stack in (starts[:1], starts):
+            results = _ascend(net, stack, boxes, sweeps)
+            assert len(results) == len(stack)
+            for layers, snr in results:
+                assert snr == destination_snr(net, GainAssignment.from_layers(layers))
+
+
+_WIDE_NETWORKS = st.booleans().flatmap(lambda signed: networks(signed, max_width=8))
+
+
+@PROPERTY_SETTINGS
+@given(_WIDE_NETWORKS, st.integers(2, 4), st.data())
+def test_stacked_coding_gives_each_row_its_own_bits(net, size, data):
+    # forward_hop and destination_rows on a stack of gain assignments, against
+    # the unstacked call on each assignment: the same bits, sign of zero too.
+    layers = [
+        data.draw(arrays(np.float64, (size, n), elements=st.floats(-1.5, 1.5)))
+        for n in net.layer_sizes[1:-1]
+    ]
+    stack = [np.ones(1), *layers]
+    alone = [[np.ones(1), *(arr[s] for arr in layers)] for s in range(size)]
+    forward = (np.ones((size, 1)), np.zeros((size, 1, 0)))
+    forwards = [(np.ones(1), np.zeros((1, 0)))] * size
+    for layer in range(net.num_layers):
+        forward = forward_hop(net, stack, layer, *forward)
+        forwards = [forward_hop(net, b, layer, *f) for b, f in zip(alone, forwards)]
+        for s, (source, transfer) in enumerate(forwards):
+            assert forward[0][s].tobytes() == source.tobytes(), (layer, s)
+            assert forward[1][s].tobytes() == transfer.tobytes(), (layer, s)
+    rows = destination_rows(net, stack)
+    for s, betas in enumerate(alone):
+        for layer, row in enumerate(destination_rows(net, betas)):
+            assert rows[layer][s].tobytes() == row.tobytes(), (layer, s)
+
+
+class _Lines(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.lines = []
+
+    def emit(self, record):
+        self.lines.append((record.levelname, record.getMessage()))
+
+
+def _optimize_by_start(net, config, stack):
+    """optimize_gains with at most stack starts ascended together: its result,
+    each start's (gain bytes, SNR) in start order, and the module's log lines."""
+    by_start = []
+    ascend = anclab.optimize._ascend
+
+    def recording(*args):
+        results = ascend(*args)
+        by_start.extend(([a.tobytes() for a in layers], snr.hex()) for layers, snr in results)
+        return results
+
+    logger = logging.getLogger("anclab.optimize")
+    handler, level = _Lines(), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(anclab.optimize, "_STACK", stack)
+            patch.setattr(anclab.optimize, "_ascend", recording)
+            gains, snr = optimize_gains(net, config)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    return ([a.tobytes() for a in gains.layers], snr.hex()), by_start, handler.lines
+
+
+@PROPERTY_SETTINGS
+@given(_WIDE_NETWORKS, st.integers(1, 4), st.integers(0, 2**16))
+def test_each_start_ascends_as_it_would_alone(net, restarts, seed):
+    # Every start's gains, SNR, sweep count and log line are the same alone
+    # (a stack of one), in stacks of two and in one stack of all the starts.
+    config = OptimizerConfig(restarts=restarts, seed=seed)
+    alone = _optimize_by_start(net, config, 1)
+    result, by_start, lines = alone
+    assert len(by_start) == sum(level == "DEBUG" for level, _ in lines) >= 1 + restarts
+    for stack in (2, anclab.optimize._STACK):
+        assert _optimize_by_start(net, config, stack) == alone, stack
 
 
 @PROPERTY_SETTINGS
