@@ -10,9 +10,7 @@ lower and upper bounds.
 from anclab import (
     NodeId,
     RegimeSpec,
-    anc_rate,
     bounds_report,
-    destination_snr,
     downstream_gains,
     full_power_gains,
     ideal_snr,
@@ -37,15 +35,16 @@ for i, gamma in enumerate(gammas):
     print(f"  {NodeId(l, i)}: beta={beta:+.4f}  end-to-end weight gamma={gamma:.4f}")
 
 report = bounds_report(net, spec, matched, c1, scheme="generalized")
+full_report = bounds_report(net, spec, full, c1, scheme="full_power")
 print("\nrates in bits per channel use:")
 print(f"  lower bound       {report.lower_bound:.4f}")
 print(f"  matched scheme    {report.achieved_rate:.4f}")
 print(f"  upper bound       {report.upper_bound:.4f}")
-print(f"  full-power scheme {anc_rate(destination_snr(net, full)):.4f}")
+print(f"  full-power scheme {full_report.achieved_rate:.4f}")
 print(f"  MAC cut bound     {mac_cutset(net):.4f}")
 
 # the noiseless-except-one-layer idealization dominates the true SNR
 print(
     f"\nideal (single noisy layer) SNR {ideal_snr(net, matched, 2):.3f}"
-    f" >= true SNR {destination_snr(net, matched):.3f}"
+    f" >= true SNR {report.snr:.3f}"
 )

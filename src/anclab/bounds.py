@@ -14,12 +14,18 @@ When the bounds coincide: to first order, upper - lower is about
 with s its summed received power and delta the regime margin; for l = 2 that
 is (delta * s + c2 / (c1**2 * s)) / (2 ln 2).  So a growing s closes the gap
 only while delta * s -> 0; at a fixed margin the gap has a minimum in s.
+
+BoundsReport computes each value when it is read, so a caller pays only for
+the columns it reads: the SNR once (it is cached), the achieved rate and the
+two bounds on every read.  Its to_dict computes every column, in a fixed
+call order, for the bounds command's CSV and JSON.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +33,6 @@ from .coding import propagate_coefficients, visible_rows
 from .gains import GainAssignment
 from .network import LayeredNetwork, RegimeSpec
 from .power import power_margin, received_power, received_powers, regime_delta
-from .report import as_json
 
 
 def anc_rate(snr: float) -> float:
@@ -159,24 +164,56 @@ def rank_one_cutset(net: LayeredNetwork, spec: RegimeSpec) -> float | None:
     return rate_upper_bound(net, spec)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # eq=False: the fields hold numpy arrays
 class BoundsReport:
-    """Achieved rate of one scheme next to every closed-form bound."""
+    """Achieved rate of one gain assignment next to every closed-form bound.
 
-    scheme: str
-    snr: float
-    achieved_rate: float
-    upper_bound: float
-    lower_bound: float
-    mac_cutset: float
-    high_snr_lower_bound: float
+    Holds its inputs only.  snr is computed on first read and cached;
+    achieved_rate, upper_bound and lower_bound are computed on every read.
+    to_dict computes every column, c2, c3, mac_cutset, high_snr_lower_bound
+    and rank_one_cutset included, in the call order of the bounds command.
+    """
+
+    net: LayeredNetwork
+    spec: RegimeSpec
+    gains: GainAssignment
     c1: float
-    c2: float
-    c3: float
-    rank_one_cutset: float | None
+    scheme: str
+
+    @cached_property
+    def snr(self) -> float:
+        return destination_snr(self.net, self.gains)
+
+    @property
+    def achieved_rate(self) -> float:
+        return anc_rate(self.snr)
+
+    @property
+    def upper_bound(self) -> float:
+        return rate_upper_bound(self.net, self.spec)
+
+    @property
+    def lower_bound(self) -> float:
+        return rate_lower_bound(self.net, self.spec, self.c1)
 
     def to_dict(self) -> dict:
-        return as_json(self)
+        """Every column, keyed in the order of the bounds CSV header."""
+        net, spec = self.net, self.spec
+        snr = self.snr
+        lower, c2, c3 = lower_bound_terms(net, spec, self.c1)
+        return {
+            "scheme": self.scheme,
+            "snr": snr,
+            "achieved_rate": anc_rate(snr),
+            "upper_bound": rate_upper_bound(net, spec),
+            "lower_bound": lower,
+            "mac_cutset": mac_cutset(net),
+            "high_snr_lower_bound": high_snr_lower_bound(net),
+            "c1": self.c1,
+            "c2": c2,
+            "c3": c3,
+            "rank_one_cutset": rank_one_cutset(net, spec),
+        }
 
 
 def bounds_report(
@@ -186,19 +223,5 @@ def bounds_report(
     c1: float,
     scheme: str,
 ) -> BoundsReport:
-    """Evaluate one gain assignment against every bound, the matched scheme's c1 given."""
-    snr = destination_snr(net, gains)
-    rate_lower, c2, c3 = lower_bound_terms(net, spec, c1)
-    return BoundsReport(
-        scheme=scheme,
-        snr=snr,
-        achieved_rate=anc_rate(snr),
-        upper_bound=rate_upper_bound(net, spec),
-        lower_bound=rate_lower,
-        mac_cutset=mac_cutset(net),
-        high_snr_lower_bound=high_snr_lower_bound(net),
-        c1=c1,
-        c2=c2,
-        c3=c3,
-        rank_one_cutset=rank_one_cutset(net, spec),
-    )
+    """Lazy report of one gain assignment against every bound, the matched scheme's c1 given."""
+    return BoundsReport(net, spec, gains, c1, scheme)

@@ -1,6 +1,7 @@
 """Command-line front end.
 
 Subcommands: bounds, simulate, optimize, sweep-ps, sweep-n, sweep-delta.
+Every rate and bound that bounds and the sweeps print is a BoundsReport value.
 All tabular output is RFC-4180-style CSV with a header row, `.` decimals,
 and LF line endings, written by anclab.report.  bounds and simulate take
 --format csv|json; optimize always writes JSON and the three sweeps always
@@ -22,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .bounds import anc_rate, bounds_report, destination_snr, rate_lower_bound, rate_upper_bound
+from .bounds import anc_rate, bounds_report
 from .gains import gains_to_dict, load_gains
 from .montecarlo import SimConfig, agreement_check, analytic_moments, simulate
 from .network import LayeredNetwork, RegimeSpec, build_network, load_network
@@ -174,10 +175,10 @@ def cmd_sweep_ps(args) -> int:
         budgets = [b for chunk in base.relay_budgets for b in chunk]  # none for one hop
         net = build_network(base.layer_sizes, base.gain_matrices, budgets, p_s)
         matched, c1 = matched_gains(net, spec)
-        rate_matched = anc_rate(destination_snr(net, matched))
-        rate_full = anc_rate(destination_snr(net, full_power_gains(net)))
-        upper = rate_upper_bound(net, spec)
-        lower = rate_lower_bound(net, spec, c1)
+        report = bounds_report(net, spec, matched, c1, "generalized")
+        rate_matched = report.achieved_rate
+        rate_full = bounds_report(net, spec, full_power_gains(net), c1, "full_power").achieved_rate
+        upper, lower = report.upper_bound, report.lower_bound
         return [p_s, rate_matched, rate_full, upper, lower, upper - rate_matched, upper - rate_full]
 
     header = "source_power,rate_matched,rate_full_power,upper_bound,lower_bound,gap_matched"
@@ -193,9 +194,8 @@ def cmd_sweep_n(args) -> int:
             raise CliError(f"relay counts must be at most {MAX_RELAY_COUNT}, got {n_float:g}")
         net = replicate_last_relay_layer(base, n, args.relay_budget)
         spec = RegimeSpec(exceptional_layer=net.num_layers - 1)
-        matched, _ = matched_gains(net, spec)
-        rate = anc_rate(destination_snr(net, matched))
-        upper = rate_upper_bound(net, spec)
+        report = bounds_report(net, spec, *matched_gains(net, spec), "generalized")
+        rate, upper = report.achieved_rate, report.upper_bound
         return [n, rate, upper, upper - rate]
 
     return _sweep(args, "n,rate,upper_bound,gap", row)
@@ -206,9 +206,8 @@ def cmd_sweep_delta(args) -> int:
 
     def row(base, delta):
         net = rescale_to_delta(base, args.layer, delta)
-        _, c1 = matched_gains(net, spec)
-        upper = rate_upper_bound(net, spec)
-        lower = rate_lower_bound(net, spec, c1)
+        report = bounds_report(net, spec, *matched_gains(net, spec), "generalized")
+        upper, lower = report.upper_bound, report.lower_bound
         return [delta, upper, lower, upper - lower]
 
     return _sweep(args, "delta,upper_bound,lower_bound,gap", row)

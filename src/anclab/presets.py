@@ -5,7 +5,8 @@ asymmetric one whose middle hop is generic (full rank) and a wide-bottleneck
 one whose last relay layer holds n identical budget-limited nodes, its
 one-relay base replicated by sweep-n's replicate_last_relay_layer.  Gains
 and budgets are picked for the documented trend experiments, not taken from
-any external dataset.  rescale_to_delta refuses a nonpositive margin.
+any external dataset.  rescale_to_delta refuses a nonpositive margin, and
+one whose reciprocal or rescaled powers leave float range.
 """
 
 from __future__ import annotations
@@ -106,7 +107,13 @@ def rescale_to_delta(
     least = net.least_received_powers
     factors = [1.0 if m == exceptional_layer - 1 else target / least[m] for m in range(len(least))]
 
-    budgets = np.concatenate([b * f for b, f in zip(net.relay_budgets, factors[1:])])
-    return build_network(
-        net.layer_sizes, net.gain_matrices, budgets, net.source_power * factors[0]
-    )
+    with np.errstate(over="ignore"):  # refused below, not warned
+        budgets = np.concatenate([b * f for b, f in zip(net.relay_budgets, factors[1:])])
+    source_power = net.source_power * factors[0]
+    powers = np.append(budgets, source_power)  # an infinite 1/delta scales the last relay layer
+    if not (np.isfinite(powers).all() and (powers > 0).all()):
+        raise ValueError(
+            f"margin delta = {delta} rescales powers out of float range "
+            f"around exceptional layer {exceptional_layer}"
+        )
+    return build_network(net.layer_sizes, net.gain_matrices, budgets, source_power)

@@ -5,8 +5,8 @@ and time make up each per-layer metric.  A name that disappears makes the
 tracer report zero for it instead of failing, so this checks every name
 against the package.  The benchmark's recorded inputs must also pass
 build_network's checks, or its workloads fail to set up, and a few of each
-workload's jobs (all of optimize_small's) must pass their own checks, as the
-benchmark runs them.
+workload's jobs (all of optimize_small's and analyze_deep's) must pass their
+own checks, as the benchmark runs them.
 """
 
 import importlib
@@ -58,13 +58,14 @@ def test_benchmark_jobs_pass_their_checks(name, tmp_path):
     # One job of every cli_small class pins each CLI output the benchmark
     # compares with perfbench/refs.  optimize_small runs every job, since a
     # fault in how the optimizer's lockstep starts leave their stack shows on
-    # a few networks only; the other library workloads run two jobs each.
+    # a few networks only, and so does analyze_deep, the one library reader
+    # of BoundsReport's values.  simulate_wide runs two jobs.
     workload = WORKLOADS.make_workload(name, 0, tmp_path)
     try:
         if name == "cli_small":
             jobs = list({job.cls: job for job in workload.jobs}.values())
             assert len(jobs) == len(WORKLOADS.cli_classes())
-        elif name == "optimize_small":
+        elif name in ("optimize_small", "analyze_deep"):
             jobs = workload.jobs
             assert len(jobs) == WORKLOADS.INPUTS_PER_RUN
         else:

@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import anclab.bounds
 from anclab import (
     GainAssignment,
     NodeId,
@@ -239,6 +241,81 @@ def test_bounds_report_serialization(tmp_path, capsys):
     data = report.to_dict()
     assert data["rank_one_cutset"] is None
     assert data["scheme"] == "generalized"
+
+
+_REPORT_COLUMNS = [
+    "scheme", "snr", "achieved_rate", "upper_bound", "lower_bound", "mac_cutset",
+    "high_snr_lower_bound", "c1", "c2", "c3", "rank_one_cutset",
+]
+
+
+def _count_bound_calls(monkeypatch) -> Counter:
+    """Count calls that BoundsReport makes into anclab.bounds' functions."""
+    calls = Counter()
+    names = [
+        "propagate_coefficients", "destination_snr", "rate_upper_bound", "rate_lower_bound",
+        "lower_bound_terms", "mac_cutset", "high_snr_lower_bound", "rank_one_cutset",
+    ]
+    for name in names:
+        def counted(*args, _fn=getattr(anclab.bounds, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(anclab.bounds, name, counted)
+    return calls
+
+
+def test_bounds_report_computes_values_when_read(monkeypatch):
+    net = asymmetric_three_layer()
+    spec = RegimeSpec(exceptional_layer=2)
+    gains, c1 = matched_gains(net, spec)
+    snr = destination_snr(net, gains)
+    lower, c2, c3 = lower_bound_terms(net, spec, c1)
+    expected = {
+        "scheme": "generalized",
+        "snr": snr,
+        "achieved_rate": anc_rate(snr),
+        "upper_bound": rate_upper_bound(net, spec),
+        "lower_bound": lower,
+        "mac_cutset": mac_cutset(net),
+        "high_snr_lower_bound": high_snr_lower_bound(net),
+        "c1": c1,
+        "c2": c2,
+        "c3": c3,
+        "rank_one_cutset": rank_one_cutset(net, spec),
+    }
+    calls = _count_bound_calls(monkeypatch)
+
+    def fresh_report():
+        report = bounds_report(net, spec, gains, c1, scheme="generalized")
+        assert calls == Counter()
+        return report
+
+    assert fresh_report().upper_bound == expected["upper_bound"]
+    assert calls == Counter(rate_upper_bound=1)
+
+    calls.clear()
+    report = fresh_report()
+    assert [report.snr, report.achieved_rate] * 2 == [snr, anc_rate(snr)] * 2
+    assert calls == Counter(propagate_coefficients=1, destination_snr=1)
+
+    calls.clear()
+    assert fresh_report().lower_bound == lower
+    assert calls == Counter(rate_lower_bound=1, lower_bound_terms=1)
+
+    calls.clear()
+    data = fresh_report().to_dict()
+    assert list(data) == _REPORT_COLUMNS
+    assert data == expected
+    assert calls == Counter(
+        propagate_coefficients=1,
+        destination_snr=1,
+        lower_bound_terms=1,
+        rate_upper_bound=1,
+        mac_cutset=1,
+        high_snr_lower_bound=1,
+        rank_one_cutset=1,
+    )
 
 
 def test_lower_bound_signed_counterexample():

@@ -1,20 +1,39 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from anclab import (
     GainAssignment,
+    RegimeSpec,
     SimConfig,
     agreement_check,
     analytic_moments,
+    anc_rate,
+    build_network,
     destination_snr,
+    full_power_gains,
+    load_network,
+    matched_gains,
+    rate_lower_bound,
+    rate_upper_bound,
     save_gains,
     save_network,
     simulate,
 )
 from anclab.cli import main
-from anclab.presets import asymmetric_three_layer, chain_network, wide_bottleneck_network
+from anclab.presets import (
+    asymmetric_three_layer,
+    chain_network,
+    replicate_last_relay_layer,
+    rescale_to_delta,
+    wide_bottleneck_network,
+)
+from anclab.report import csv_table
 from conftest import cancelling_destination_network, near_cancelling_network
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -309,6 +328,80 @@ def test_sweep_delta_monotone(three_layer_file, tmp_path):
     assert gaps[0] > gaps[1] > gaps[2]
 
 
+def _reference_sweep(command, base, grid, layer, relay_budget) -> str:
+    """A sweep's CSV computed straight from the bound functions, row by row."""
+    rows = []
+    for value in grid:
+        if command == "sweep-ps":
+            spec = RegimeSpec(exceptional_layer=layer)
+            budgets = [b for chunk in base.relay_budgets for b in chunk]
+            net = build_network(base.layer_sizes, base.gain_matrices, budgets, value)
+            matched, c1 = matched_gains(net, spec)
+            rate_matched = anc_rate(destination_snr(net, matched))
+            rate_full = anc_rate(destination_snr(net, full_power_gains(net)))
+            upper = rate_upper_bound(net, spec)
+            lower = rate_lower_bound(net, spec, c1)
+            gaps = [upper - rate_matched, upper - rate_full]
+            rows.append([value, rate_matched, rate_full, upper, lower, *gaps])
+        elif command == "sweep-n":
+            net = replicate_last_relay_layer(base, value, relay_budget)
+            spec = RegimeSpec(exceptional_layer=net.num_layers - 1)
+            matched, _ = matched_gains(net, spec)
+            rate = anc_rate(destination_snr(net, matched))
+            upper = rate_upper_bound(net, spec)
+            rows.append([value, rate, upper, upper - rate])
+        else:
+            net = rescale_to_delta(base, layer, value)
+            spec = RegimeSpec(exceptional_layer=layer)
+            _, c1 = matched_gains(net, spec)
+            upper = rate_upper_bound(net, spec)
+            lower = rate_lower_bound(net, spec, c1)
+            rows.append([value, upper, lower, upper - lower])
+    header = {
+        "sweep-ps": "source_power,rate_matched,rate_full_power,upper_bound,lower_bound,"
+        "gap_matched,gap_full_power",
+        "sweep-n": "n,rate,upper_bound,gap",
+        "sweep-delta": "delta,upper_bound,lower_bound,gap",
+    }[command]
+    return csv_table(header.split(","), rows)
+
+
+_SWEEP_CASES = [
+    (command, config.stem, layer)
+    for config in sorted(CONFIGS.glob("*.json"))
+    for command in ("sweep-ps", "sweep-delta")
+    for layer in range(1, load_network(str(config)).num_layers)
+] + [("sweep-n", config.stem, None) for config in sorted(CONFIGS.glob("*.json"))]
+
+_SWEEP_VALUES = {
+    "sweep-ps": st.floats(1e-6, 1e12),
+    "sweep-n": st.integers(1, 40),
+    "sweep-delta": st.floats(1e-12, 1e3),
+}
+
+
+@pytest.mark.parametrize("command, config, layer", _SWEEP_CASES)
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_sweeps_match_bound_functions(command, config, layer, data):
+    values = data.draw(st.lists(_SWEEP_VALUES[command], min_size=1, max_size=5, unique=True))
+    grid = sorted(values, reverse=data.draw(st.booleans()))
+    relay_budget = data.draw(st.floats(0.1, 10.0))
+    path = str(CONFIGS / f"{config}.json")
+    argv = [command, "--network", path, "--grid", ",".join(map(repr, grid))]
+    if command == "sweep-n":
+        argv += ["--relay-budget", repr(relay_budget)]
+    else:
+        argv += ["--layer", str(layer)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assume(code != 1)
+    assert code == 0 and err.getvalue() == ""
+    reference = _reference_sweep(command, load_network(path), grid, layer, relay_budget)
+    assert out.getvalue() == reference
+
+
 def test_non_monotone_grid_rejected(three_layer_file, capsys):
     code = main(
         ["sweep-ps", "--network", three_layer_file, "--layer", "2", "--grid", "10,5,100"]
@@ -525,6 +618,11 @@ def test_option_without_effect_is_rejected(argv, chain_file, tmp_path, capsys):
             ["simulate", "--network", "THREE_LAYER", "--scheme", "full_power", "--workers", "65"],
             "workers must be at most 64, got 65",
         ),
+        (
+            ["sweep-delta", "--network", "THREE_LAYER", "--layer", "2", "--grid", "1e-310,1e-2"],
+            "margin delta = 1e-310 rescales powers out of float range "
+            "around exceptional layer 2",
+        ),
     ],
     ids=[
         "simulate-scheme-without-layer",
@@ -533,6 +631,7 @@ def test_option_without_effect_is_rejected(argv, chain_file, tmp_path, capsys):
         "unparsable-grid",
         "empty-grid",
         "simulate-workers-above-limit",
+        "sweep-delta-margin-reciprocal-overflows",
     ],
 )
 def test_input_check_is_one_error_line(argv, message, tmp_path, capsys):

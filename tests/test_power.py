@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,12 @@ from anclab import (
 )
 from anclab.network import coherent_power
 from anclab.power import power_margin, received_powers, safe_gains
-from anclab.presets import chain_network, diamond_network, rescale_to_delta
+from anclab.presets import (
+    asymmetric_three_layer,
+    chain_network,
+    diamond_network,
+    rescale_to_delta,
+)
 from conftest import box_limits, random_box_gains, random_network
 
 
@@ -55,6 +61,29 @@ def test_rescale_to_delta_result_is_checked_by_node():
     message = "^received power at 1:1 is inf; it and its reciprocal must be finite$"
     with pytest.raises(NetworkValidationError, match=message):
         rescale_to_delta(net, 2, 1e-300)
+
+
+@pytest.mark.parametrize(
+    "net, layer, delta",
+    [
+        (asymmetric_three_layer(), 2, 1e-310),  # 1 / delta overflows
+        (diamond_network(), 1, 1e-310),
+        (chain_network(hops=3, gain=1e-150), 2, 1e-10),  # the source power overflows
+        (chain_network(hops=3, source_power=1e300), 2, 1e300),  # it underflows to 0
+    ],
+)
+def test_rescale_to_delta_refuses_margin_out_of_float_range(net, layer, delta):
+    message = (
+        f"margin delta = {delta} rescales powers out of float range "
+        f"around exceptional layer {layer}"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        rescale_to_delta(net, layer, delta)
+
+
+def test_rescale_to_delta_keeps_margins_in_range():
+    net = rescale_to_delta(asymmetric_three_layer(), 2, 1e300)
+    assert regime_delta(net, RegimeSpec(exceptional_layer=2)) == pytest.approx(1e300)
 
 
 def test_received_power_coherent_diamond():
@@ -137,7 +166,7 @@ def test_analyze_pipeline_evaluates_each_layer_once(monkeypatch):
     spec = RegimeSpec(exceptional_layer=3)
     matched, c1 = matched_gains(net, spec)
     assert check_feasible(net, full).exact_ok
-    bounds_report(net, spec, matched, c1, scheme="generalized")
+    bounds_report(net, spec, matched, c1, scheme="generalized").to_dict()  # every column
     assert len(layers) == 6 and layers == [m.shape for m in net.gain_matrices]
 
 
