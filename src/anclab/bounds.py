@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .coding import propagate_coefficients, visible_rows
+from .coding import propagate_coefficients, visible_row
 from .gains import GainAssignment
 from .network import LayeredNetwork, RegimeSpec
 from .power import power_margin, received_power, received_powers, regime_delta
@@ -44,9 +44,7 @@ def anc_rate(snr: float) -> float:
 
 def destination_snr(net: LayeredNetwork, gains: GainAssignment) -> float:
     """Exact SNR at the destination: signal power over propagated plus local noise."""
-    state = propagate_coefficients(net, gains)
-    f = float(state.source[-1][0])
-    return f * f * net.source_power / float(state.noise[-1][0])
+    return propagate_coefficients(net, gains).snr
 
 
 def ideal_snr(net: LayeredNetwork, gains: GainAssignment, noisy_layer: int) -> float:
@@ -55,14 +53,14 @@ def ideal_snr(net: LayeredNetwork, gains: GainAssignment, noisy_layer: int) -> f
     All other noise sources, including the destination's own, are zeroed;
     this idealization can only raise the SNR, so it dominates the true one
     for any gain assignment.  The noisy layer's destination coefficients are
-    betas[l] * visible_rows(...)[l]: the backward sweep, with a row entry no
-    larger than 1e-12 times the same sweep on |H| and |beta| counted as
-    cancelled, the rule the matched scheme applies too.
+    betas[l] * visible_row(net, betas, l): the backward sweep down to row l,
+    with an entry no larger than 1e-12 times the same sweep on |H| and |beta|
+    counted as cancelled, the rule the matched scheme applies too.
     """
     net.require_relay_layer(noisy_layer, "noisy layer")
     state = propagate_coefficients(net, gains)
     f = float(state.source[-1][0])
-    noise = state.betas[noisy_layer] * visible_rows(net, state.betas)[noisy_layer]
+    noise = state.betas[noisy_layer] * visible_row(net, state.betas, noisy_layer)
     denom = float(noise @ noise)
     if denom == 0.0:
         raise ValueError(f"no noise from layer {noisy_layer} reaches the destination")
@@ -72,7 +70,7 @@ def ideal_snr(net: LayeredNetwork, gains: GainAssignment, noisy_layer: int) -> f
 def exceptional_power_sum(net: LayeredNetwork, spec: RegimeSpec) -> float:
     """Sum of received powers over the exceptional layer."""
     spec.validate(net)
-    return float(np.sum(received_powers(net, spec.exceptional_layer)))
+    return float(received_powers(net, spec.exceptional_layer).sum())
 
 
 def rate_upper_bound(net: LayeredNetwork, spec: RegimeSpec) -> float:

@@ -12,12 +12,13 @@ s_{l+1} = A_l s_l and the transfer matrix from every upstream relay noise
 to layer l+1, whose squared row sums give the propagated noise power.
 destination_rows is the backward sweep, run where its rows r_l (the
 coefficient from a layer-l transmission to the destination) are read;
-visible_rows is the same sweep with cancellation residue dropped by the
-one residue rule, network.drop_residue.  These per-layer arrays are the
-interface: callers index them by layer and node, and no per-node accessor
-re-derives an entry.  The oracle that checks them, brute-force path
-enumeration, lives in anclab.oracle: it reads only gain_matrices and
-GainAssignment.betas(net), and no module of the package imports it.
+visible_row(net, betas, l) runs it down to row l only and applies the one
+residue rule, network.drop_residue, to that row alone.  These per-layer
+arrays are the interface: callers index them by layer and node, and no
+per-node accessor re-derives an entry.  The oracle that checks them,
+brute-force path enumeration, lives in anclab.oracle: it reads only
+gain_matrices and GainAssignment.betas(net), and no module of the package
+imports it.
 
 forward_hop and destination_rows also take a stack of S gain assignments,
 one (S, n_l) array per layer, and every array they return then carries the
@@ -51,10 +52,10 @@ class CodingState:
       source[l]  coefficient of the source symbol at layer l, l = 0..L;
       noise[l]   propagated-plus-local noise power at layer l, unit noise
                  variances (0 at the source, which receives nothing).
-    So the destination's signal coefficient is source[-1][0] and its noise
-    power noise[-1][0].  A relay (l, i)'s noise reaches the destination
-    scaled by betas[l][i] * destination_rows(net, betas)[l][i], the backward
-    sweep that this state does not run.  anclab.oracle checks them.
+    So the destination's signal coefficient is source[-1][0], its noise power
+    noise[-1][0], and snr their SNR.  A relay (l, i)'s noise reaches the
+    destination scaled by betas[l][i] * destination_rows(net, betas)[l][i], the
+    backward sweep that this state does not run.  anclab.oracle checks them.
     """
 
     net: LayeredNetwork
@@ -69,29 +70,39 @@ class CodingState:
         s, beta = self.source[layer], self.betas[layer]
         return beta * beta * (s * s * self.net.source_power + self.noise[layer])
 
+    @property
+    def snr(self) -> float:
+        """Destination SNR f^2 P / noise, the one SNR formula of a propagation."""
+        f = float(self.source[-1][0])
+        return f * f * self.net.source_power / float(self.noise[-1][0])
 
-def destination_rows(net: LayeredNetwork, betas, matrices=None) -> list[np.ndarray]:
+
+def _backward_rows(h, betas) -> list[np.ndarray]:
+    """Rows r_{n-1}, ..., r_0 of the backward sweep over the n hops h, last hop first,
+    each (..., 1, n_k), (S, 1, n_k) for a stack: a row-matrix product per assignment."""
+    last = betas[-1]
+    rows = [h[-1][np.newaxis].repeat(len(last), axis=0) if np.ndim(last) > 1 else h[-1]]
+    for k in range(len(h) - 1, 0, -1):
+        rows.append((rows[-1] * betas[k][..., np.newaxis, :]) @ h[k - 1])
+    return rows
+
+
+def destination_rows(net: LayeredNetwork, betas) -> list[np.ndarray]:
     """Backward sweep r_{L-1} = H_{L-1}, r_l = (r_{l+1} * beta_{l+1}) H_l.
 
     betas[l] is read for layers 1..L-1 only; r_l excludes layer l's own gain,
-    so betas[l] * r_l is the destination coefficient of a layer-l noise.
-    matrices, if given, stand in for the hop matrices H_l.  Stacked betas,
-    one (S, n_l) array per layer, give (S, n_l) rows, r_{L-1} repeated.
+    so betas[l] * r_l is the destination coefficient of a layer-l noise.  Stacked
+    betas, one (S, n_l) array per layer, give (S, n_l) rows, r_{L-1} repeated.
     """
-    h = matrices or net.gain_matrices
-    # Shape (S, 1, n_{L-1}) for a stack: a row-matrix product per assignment.
-    last = betas[-1]
-    rows = [h[-1][np.newaxis].repeat(len(last), axis=0) if np.ndim(last) > 1 else h[-1]]
-    for layer in range(net.num_layers - 1, 0, -1):
-        rows.append((rows[-1] * betas[layer][..., np.newaxis, :]) @ h[layer - 1])
-    return [row[..., 0, :] for row in reversed(rows)]
+    return [row[..., 0, :] for row in reversed(_backward_rows(net.gain_matrices, betas))]
 
 
-def visible_rows(net: LayeredNetwork, betas) -> list[np.ndarray]:
-    """destination_rows with cancellation residue set to 0.0: an entry no larger
-    than 1e-12 times the same sweep on |H| and |beta| cancels exactly."""
-    scale = destination_rows(net, [*map(np.abs, betas)], [*map(np.abs, net.gain_matrices)])
-    return [*map(drop_residue, destination_rows(net, betas), scale)]
+def visible_row(net: LayeredNetwork, betas, layer: int) -> np.ndarray:
+    """destination_rows(net, betas)[layer], swept down to that row only, with an
+    entry no larger than 1e-12 times the same sweep on |H| and |beta| set to 0.0."""
+    h, betas = net.gain_matrices[layer:], betas[layer:]
+    scale = _backward_rows([*map(np.abs, h)], [*map(np.abs, betas)])[-1][0]
+    return drop_residue(_backward_rows(h, betas)[-1][0], scale)
 
 
 def forward_hop(net: LayeredNetwork, betas, layer: int, source, transfer):

@@ -25,9 +25,9 @@ class GainAssignment:
     layers: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
+        if self.layers and not np.isfinite(np.concatenate(self.layers, axis=None)).all():
+            raise ValueError("amplification gains must be finite")
         for arr in self.layers:
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("amplification gains must be finite")
             arr.flags.writeable = False
 
     @classmethod

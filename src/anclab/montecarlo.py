@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import destination_snr
 from .coding import propagate_coefficients
 from .gains import GainAssignment
 from .network import LayeredNetwork, NodeId, require_int_fields
@@ -203,7 +202,7 @@ def analytic_moments(net: LayeredNetwork, gains: GainAssignment) -> dict:
         "transmit_power": power,
         "source_coeff": float(state.source[-1][0]),
         "noise_power": float(state.noise[-1][0]),
-        "snr": destination_snr(net, gains),
+        "snr": state.snr,
     }
 
 

@@ -13,8 +13,8 @@ a uniform margin (safe_boxes).
 
 Signed gains can cancel.  drop_residue is the one rule for when they do: a
 signed sum no larger than 1e-12 times the same sum on magnitudes is exactly
-zero.  coherent_power applies it to received powers, and coding.visible_rows
-to destination rows, which the matched scheme and ideal_snr read.  Every
+zero.  coherent_power applies it to received powers, and coding.visible_row
+to the one destination row that the matched scheme or ideal_snr reads.  Every
 bound, box and margin reads a node's received power P_R or its margin 1/P_R,
 so build_network refuses a network where either is not finite.
 """
@@ -40,7 +40,9 @@ _CANCEL_RTOL = 1e-12
 def drop_residue(values: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """A new array of values, each entry no larger than 1e-12 * scale set to 0.0:
     the one cancellation rule, scale being the same sum taken on magnitudes."""
-    return np.where(np.abs(values) <= _CANCEL_RTOL * scale, 0.0, values)
+    out = values.copy()
+    out[np.abs(values) <= _CANCEL_RTOL * scale] = 0.0
+    return out
 
 
 def coherent_power(h: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
@@ -101,7 +103,7 @@ class LayeredNetwork:
     relay_budgets: tuple[np.ndarray, ...]
     source_power: float
 
-    @property
+    @cached_property
     def num_layers(self) -> int:
         """Number of hops L (layers are 0..L)."""
         return len(self.layer_sizes) - 1
@@ -217,7 +219,7 @@ def build_network(
         raise NetworkValidationError(
             f"expected {num_relays} relay power budgets, got {budgets_flat.size}"
         )
-    if not np.all(np.isfinite(budgets_flat)) or np.any(budgets_flat <= 0):
+    if not np.isfinite(budgets_flat).all() or (budgets_flat <= 0).any():
         raise NetworkValidationError("power budgets must be finite and strictly positive")
     if not np.isfinite(source_power) or source_power <= 0:
         raise NetworkValidationError(f"source power must be strictly positive, got {source_power}")
@@ -287,14 +289,15 @@ def require_numbers(field: str, value, depth: int) -> None:
     """Raise NetworkValidationError unless value nests real numbers, not bool or str,
     depth lists deep; numpy would take "2.0" and true as floats.  Plain JSON
     numbers pass at C speed."""
-    items = [value]
+    parents = [[value]]  # the leaves are the items of the parents' items
     for _ in range(depth):
+        items = list(itertools.chain.from_iterable(parents))
         if not set(map(type, items)) <= {list, tuple}:
             bad = next(item for item in items if type(item) not in (list, tuple))
             raise NetworkValidationError(f"{field}: {bad!r} is not a list")
-        items = list(itertools.chain.from_iterable(items))
-    if not set(map(type, items)) <= {int, float}:
-        for item in items:
+        parents = items
+    if not set(map(type, itertools.chain.from_iterable(parents))) <= {int, float}:
+        for item in itertools.chain.from_iterable(parents):
             if isinstance(item, bool) or not isinstance(item, numbers.Real):
                 raise NetworkValidationError(f"{field}: {item!r} is not a number")
 

@@ -86,7 +86,7 @@ def _dot(a, b):
     return (a[..., np.newaxis, :] @ b[..., :, np.newaxis])[..., 0, 0]
 
 
-def _sweep_layer(net, betas, layer, box, forward, rows, choose=_best_gain):
+def _sweep_layer(net, betas, layer, box, forward, rows):
     """Coordinate steps over one layer's relays in index order, in place,
     for every start of the stack.
 
@@ -98,7 +98,7 @@ def _sweep_layer(net, betas, layer, box, forward, rows, choose=_best_gain):
     rest.  So the sweep builds K, u = K v, Q = v^T u, rest and f for the
     whole stack, then steps each start in turn: it reads each step's affine
     coefficients off them in scalar work, and updates u by row i of K (K is
-    symmetric); choose(a0, a1, q0, q1, q2, box_i, power) picks the new gain.
+    symmetric).
     Returns the lists of f and of the destination noise power, by start.
     """
     source, transfer = forward
@@ -128,7 +128,7 @@ def _sweep_layer(net, betas, layer, box, forward, rows, choose=_best_gain):
             own = quad - v_i * (2.0 * c + k_ii * v_i)  # Q without relay i's noise
             q1 = 2.0 * r_i * c
             q2 = r_i * r_i * k_ii
-            b = choose(a0, a1, own + rest_s, q1, q2, box_i, power)
+            b = _best_gain(a0, a1, own + rest_s, q1, q2, box_i, power)
             step = r_i * b - v_i
             u_s = [u_j + step * k_j for u_j, k_j in zip(u_s, k)]
             quad = own + b * (q1 + q2 * b)

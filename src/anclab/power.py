@@ -162,10 +162,9 @@ class FeasibilityReport:
 def check_feasible(net: LayeredNetwork, gains: GainAssignment) -> FeasibilityReport:
     """Per-relay comparison of the sufficient condition and the exact budget."""
     state = propagate_coefficients(net, gains)
-    relay_layers = range(1, net.num_layers)
     beta = _column(state.betas[1:])
-    beta_max = _column([safe_gains(net, layer) for layer in relay_layers])
-    exact = _column([state.transmit_powers(layer) for layer in relay_layers])
+    beta_max = _column(net.safe_boxes)
+    exact = _column([state.transmit_powers(layer) for layer in range(1, net.num_layers)])
     budget = _column(net.relay_budgets)
     sufficient_ok = np.abs(beta) <= beta_max * (1.0 + _PASS_RTOL)
     exact_ok = exact <= budget * (1.0 + _PASS_RTOL)

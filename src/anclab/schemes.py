@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .coding import destination_rows, visible_rows
+from .coding import destination_rows, visible_row
 from .gains import GainAssignment
 from .network import LayeredNetwork, NodeId, RegimeSpec, safe_box
 from .power import received_powers, regime_delta, safe_gains
@@ -61,8 +61,7 @@ def matched_gains(net: LayeredNetwork, spec: RegimeSpec) -> tuple[GainAssignment
     delta = regime_delta(net, spec)
 
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
-        # Layer l's slot is a placeholder, set below: row l reads layers l+1..
-        # only, and zeros keep the discarded rows above it finite.
+        # Layer l's slot is a placeholder, set below: row l reads layers l+1.. only.
         layers = [
             np.zeros_like(b) if k == l else safe_box(b, p_r, delta)
             for k, (b, p_r) in enumerate(zip(net.relay_budgets, net.received_powers), start=1)
@@ -74,8 +73,8 @@ def matched_gains(net: LayeredNetwork, spec: RegimeSpec) -> tuple[GainAssignment
                     f"safe gains sqrt(P / ((1 + delta) * P_R)) of layer {k} are out of "
                     f"float range at margin delta = {delta}"
                 )
-        g = visible_rows(net, [np.ones(1), *layers])[l]
-        zero = np.flatnonzero(g == 0.0)  # visible_rows sets cancellation residue to 0.0
+        g = visible_row(net, [np.ones(1), *layers], l)
+        zero = np.flatnonzero(g == 0.0)  # visible_row sets cancellation residue to 0.0
         if zero.size:
             raise ValueError(
                 f"{NodeId(l, int(zero[0]))} is invisible at the destination (compound gain zero)"

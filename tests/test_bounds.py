@@ -166,6 +166,18 @@ def test_rank_one_absent_for_generic_matrix():
     assert rank_one_cutset(net, RegimeSpec(exceptional_layer=2)) is None
 
 
+def test_rank_one_needs_singular_value_ratio_below_threshold():
+    # A rotated hop U diag(1, 1e-8) V^T: rank two at the 1e-10 ratio threshold.
+    def rotation(angle):
+        return np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+
+    hop = rotation(0.3) @ np.diag([1.0, 1e-8]) @ rotation(1.1).T
+    net = build_network([1, 2, 2, 1], [[[1.0], [1.0]], hop, [[1.0, 1.0]]], [1.0] * 4, 1.0)
+    singular_values = np.linalg.svd(net.gain_matrices[1], compute_uv=False)
+    assert singular_values[1] / singular_values[0] == pytest.approx(1e-8, rel=1e-6)
+    assert rank_one_cutset(net, RegimeSpec(exceptional_layer=2)) is None
+
+
 def test_rank_one_single_feeding_node():
     net = build_network(
         [1, 1, 2, 1],

@@ -1,23 +1,34 @@
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import anclab.bounds
+import anclab.montecarlo
+import anclab.power
 from anclab import (
     GainAssignment,
     build_network,
     NodeId,
+    RegimeSpec,
     SimConfig,
     agreement_check,
     analytic_moments,
     destination_snr,
     exact_transmit_power,
+    full_power_gains,
+    load_network,
+    matched_gains,
     simulate,
 )
+from anclab.cli import main
 from anclab.montecarlo import _PASS, MAX_WORKERS, _block_sums
 from anclab.presets import chain_network, diamond_network
 from anclab.report import json_text
 from conftest import per_node_block_sums, random_box_gains, random_network
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_chain_snr_within_three_stderr():
@@ -27,6 +38,33 @@ def test_chain_snr_within_three_stderr():
     analytic = destination_snr(net, gains)
     assert analytic == pytest.approx(0.5)
     assert abs(report.snr - analytic) <= 3.0 * report.snr_se
+
+
+@pytest.mark.parametrize("config", sorted(p.stem for p in CONFIGS.glob("*.json")))
+def test_analytic_snr_is_destination_snr_on_configs(config):
+    net = load_network(str(CONFIGS / f"{config}.json"))
+    schemes = [full_power_gains(net)]
+    schemes += [matched_gains(net, RegimeSpec(l))[0] for l in range(1, net.num_layers)]
+    for gains in schemes:
+        assert analytic_moments(net, gains)["snr"].hex() == destination_snr(net, gains).hex()
+
+
+def test_simulate_command_propagates_twice(monkeypatch, tmp_path):
+    # One propagation for analytic_moments, which reads its SNR off it, one for check_feasible.
+    calls = []
+    propagate = anclab.montecarlo.propagate_coefficients
+
+    def counted(net, gains):
+        calls.append(gains)
+        return propagate(net, gains)
+
+    for module in (anclab.bounds, anclab.montecarlo, anclab.power):
+        monkeypatch.setattr(module, "propagate_coefficients", counted)
+    out = tmp_path / "agreement.csv"
+    argv = ["simulate", "--network", str(CONFIGS / "three_layer.json"), "--scheme", "generalized"]
+    argv += ["--layer", "2"]
+    assert main(argv + ["--samples", "1000", "--out", str(out)]) in (0, 2)
+    assert out.exists() and len(calls) == 2
 
 
 def test_zero_gains_give_unit_destination_variance():

@@ -25,7 +25,7 @@ from anclab import (
     regime_delta,
 )
 from anclab.network import coherent_power
-from anclab.power import power_margin, received_powers, safe_gains
+from anclab.power import _PASS_RTOL, power_margin, received_powers, safe_gains
 from anclab.presets import (
     asymmetric_three_layer,
     chain_network,
@@ -89,6 +89,39 @@ def test_rescale_to_delta_keeps_margins_in_range():
 def test_received_power_coherent_diamond():
     net = diamond_network()
     assert received_power(net, net.destination) == pytest.approx(4.0)
+
+
+def test_gain_at_box_tolerance_end_is_sufficient():
+    # |beta| equal in floats to beta_max * (1 + 1e-12), of either sign, passes.
+    net = asymmetric_three_layer()
+    signs = [np.array([1.0, -1.0]), np.array([-1.0, 1.0])]
+    layers = [sign * (box * (1.0 + _PASS_RTOL)) for sign, box in zip(signs, net.safe_boxes)]
+    report = check_feasible(net, GainAssignment.from_layers(layers))
+    columns = report.columns
+    np.testing.assert_array_equal(np.abs(columns["beta"]), columns["beta_max"] * (1.0 + _PASS_RTOL))
+    assert report.sufficient_ok
+
+
+def test_exact_power_at_budget_tolerance_end_is_feasible():
+    # A chain relay whose exact power equals budget * (1 + 1e-12) in floats.
+    slack = 1.0 + _PASS_RTOL
+
+    def chain(budget):
+        return build_network([1, 1, 1], [[[0.8]], [[1.3]]], [budget], 2.0)
+
+    for beta in np.linspace(0.5, 0.9, 41):  # the first gain some budget meets exactly
+        gains = GainAssignment.from_layers([[beta]])
+        exact = float(check_feasible(chain(1.0), gains).columns["exact_power"][0])
+        near = exact / slack
+        candidates = [near, float(np.nextafter(near, 0.0)), float(np.nextafter(near, np.inf))]
+        budget = next((b for b in candidates if b * slack == exact), None)
+        if budget is not None:
+            break
+    else:
+        pytest.fail("no budget meets an exact power at the tolerance end")
+    report = check_feasible(chain(budget), gains)
+    assert report.columns["exact_power"][0] == report.columns["budget"][0] * slack
+    assert report.exact_ok
 
 
 def test_received_power_ignores_gains():

@@ -48,8 +48,9 @@ from anclab import (
     regime_delta,
 )
 from anclab.bounds import exceptional_power_sum, lower_bound_terms
-from anclab.coding import destination_rows, forward_hop, visible_rows
-from anclab.montecarlo import _block_sums
+from anclab.coding import destination_rows, forward_hop, visible_row
+from anclab.montecarlo import _block_sums, analytic_moments
+from anclab.network import drop_residue
 from anclab.optimize import _ascend, _best_gain, _sweep_layer
 from anclab.oracle import path_coefficient
 from anclab.power import safe_gains
@@ -146,11 +147,47 @@ _NEAR_CANCELLING_GAINS = GainAssignment.from_layers([[1.0, 0.0], [2.0, 1.0]])
 def test_visible_rows_drop_only_cancellation_residue(case):
     net, gains = case
     betas = gains.betas(net)
-    scale = destination_rows(net, [*map(np.abs, betas)], [*map(np.abs, net.gain_matrices)])
-    for visible, row, bound in zip(visible_rows(net, betas), destination_rows(net, betas), scale):
+    abs_net, abs_gains = _absolute(net, gains)
+    scale = destination_rows(abs_net, abs_gains.betas(abs_net))
+    for layer, (row, bound) in enumerate(zip(destination_rows(net, betas), scale)):
+        visible = visible_row(net, betas, layer)
         residue = np.abs(row) <= 1e-12 * bound
         assert visible[~residue].tobytes() == row[~residue].tobytes()  # bit for bit
         assert np.all(visible[residue] == 0.0) and not np.signbit(visible[residue]).any()
+
+
+@st.composite
+def residue_cases(draw):
+    """Signed sums and their magnitude scales, with entries set to exact ties
+    |v| == 1e-12 * scale of either sign, to the next float past a tie, or to -0.0."""
+    n = draw(st.integers(1, 8))
+    scale = draw(arrays(np.float64, n, elements=st.floats(0.0, 1e3)))
+    values = draw(arrays(np.float64, n, elements=st.floats(-1e3, 1e3)))
+    kind = draw(arrays(np.int8, n, elements=st.integers(0, 4)))
+    tie = 1e-12 * scale
+    choices = [tie, -tie, np.nextafter(tie, np.inf), np.full(n, -0.0)]
+    return np.select([kind == k for k in range(1, 5)], choices, values), scale
+
+
+@PROPERTY_SETTINGS
+@given(residue_cases(), st.booleans())
+@example((np.array([-0.0, 1e-12, -1e-12, 0.0, 3e-12]), np.array([1.0, 1.0, 1.0, 0.0, 2.0])), True)
+def test_drop_residue_is_the_where_form(case, read_only):
+    values, scale = case
+    values.flags.writeable = not read_only
+    before = values.tobytes()
+    out = drop_residue(values, scale)
+    want = np.where(np.abs(values) <= 1e-12 * scale, 0.0, values)
+    assert out.tobytes() == want.tobytes()  # the same bits, +0.0 where cancelled
+    assert not np.shares_memory(out, values) and out.flags.writeable
+    assert values.tobytes() == before
+
+
+@PROPERTY_SETTINGS
+@given(networks_with_gains(signed=True))
+def test_analytic_snr_is_destination_snr(case):
+    net, gains = case
+    assert analytic_moments(net, gains)["snr"].hex() == destination_snr(net, gains).hex()
 
 
 @PROPERTY_SETTINGS
@@ -276,7 +313,9 @@ def test_layer_sweep_matches_fresh_propagation(case, data):
         return b
 
     rows = destination_rows(net, stack)
-    (f,), (noise_power,) = _sweep_layer(net, stack, layer, box, forward, rows, recording)
+    with pytest.MonkeyPatch.context() as patch:  # records each step the sweep takes
+        patch.setattr(anclab.optimize, "_best_gain", recording)
+        (f,), (noise_power,) = _sweep_layer(net, stack, layer, box, forward, rows)
     assert len(steps) == net.layer_sizes[layer]
     for got, want, scale in steps:
         # Signal pair and noise triple, each against its own magnitude.

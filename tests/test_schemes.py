@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import anclab.coding
 from anclab import (
     GainAssignment,
     NodeId,
@@ -148,6 +149,34 @@ def test_matched_builds_no_box_for_the_exceptional_layer():
     gains, c1 = matched_gains(net, RegimeSpec(exceptional_layer=1))
     assert c1 == 1e150
     assert list(gains.layers[0]) == [1.0, 1.0, 1.0]
+
+
+def test_matched_gains_sweeps_down_to_its_layer_once(monkeypatch):
+    # Row l alone: the signed sweep and the one on magnitudes each take L-1-l
+    # backward steps, and one residue test covers that row.
+    steps, tested = [], []
+    backward_rows, drop_residue = anclab.coding._backward_rows, anclab.coding.drop_residue
+
+    def counted_rows(h, betas):
+        rows = backward_rows(h, betas)
+        steps.append(len(rows) - 1)  # one row per step, after r_{L-1}
+        return rows
+
+    def counted_residue(values, scale):
+        tested.append(values.shape)
+        return drop_residue(values, scale)
+
+    monkeypatch.setattr(anclab.coding, "_backward_rows", counted_rows)
+    monkeypatch.setattr(anclab.coding, "drop_residue", counted_residue)
+    rng = np.random.default_rng(26)
+    for hops in range(2, 8):
+        sizes = [1] + [int(w) for w in rng.integers(1, 5, hops - 1)] + [1]
+        matrices = [rng.uniform(0.1, 2.0, (m, n)) for n, m in zip(sizes, sizes[1:])]
+        net = build_network(sizes, matrices, rng.uniform(0.5, 4.0, sum(sizes[1:-1])), 2.0)
+        for l in range(1, hops):
+            steps.clear(), tested.clear()
+            matched_gains(net, RegimeSpec(exceptional_layer=l))
+            assert steps == [hops - 1 - l] * 2 and tested == [(sizes[l],)]
 
 
 def test_matched_rejects_invisible_node():
