@@ -34,10 +34,11 @@ print(report.to_csv())
 slack_net = build_network([1, 1, 1, 1], [[[1.0]], [[1.0]], [[1.0]]], [120.0, 1.0], 1.0)
 b_max = max_safe_gain(slack_net, NodeId(2, 0))
 quiet_upstream = GainAssignment.from_layers([[1e-3], [10.0 * b_max]])
-entry = check_feasible(slack_net, quiet_upstream).entries[1]
+columns = check_feasible(slack_net, quiet_upstream).columns  # relay 2:0 is entry 1
 print(
-    f"ten times the safe gain: sufficient_ok={entry.sufficient_ok}, "
-    f"exact power {entry.exact_power:.4f} <= budget {entry.budget:g} -> exact_ok={entry.exact_ok}"
+    f"ten times the safe gain: sufficient_ok={columns['sufficient_ok'][1]}, "
+    f"exact power {columns['exact_power'][1]:.4f} <= budget {columns['budget'][1]:g} "
+    f"-> exact_ok={columns['exact_ok'][1]}"
 )
 
 # --- and the converse: sign cancellations break the box guarantee -----------

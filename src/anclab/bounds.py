@@ -87,23 +87,17 @@ def _margin_power(delta: float, hops: int) -> float:
 
 
 def lower_bound_terms(
-    net: LayeredNetwork,
-    spec: RegimeSpec,
-    c1: float,
-    delta: float | None = None,
+    net: LayeredNetwork, spec: RegimeSpec, c1: float
 ) -> tuple[float, float, float]:
     """Lower-bound value and its noise constants (rate, c2, c3).
 
-    c1 is the matched scheme's constant.  The rate is below that scheme's
-    only for nonnegative channel gains.  delta defaults to the regime margin
-    of the network; passing an explicit value evaluates the closed form at
-    that margin (0 gives the ideal case, where the geometric noise sum vanishes).
+    c1 is the matched scheme's constant and delta the network's regime
+    margin.  The rate is below that scheme's only for nonnegative channel gains.
     """
     l = spec.exceptional_layer
     if c1 <= 0:
         raise ValueError(f"matched-scheme constant must be positive, got {c1}")
-    if delta is None:
-        delta = regime_delta(net, spec)
+    delta = regime_delta(net, spec)
     s = exceptional_power_sum(net, spec)
     p_rd = received_power(net, net.destination)
 

@@ -132,7 +132,7 @@ def cmd_simulate(args) -> int:
     agreement = agreement_check(report, analytic_moments(net, gains), z_threshold=args.z)
     feasibility = check_feasible(net, gains)
     if not feasibility.exact_ok:
-        bad = [str(e.node) for e in feasibility.entries if not e.exact_ok]
+        bad = [n for n, ok in zip(feasibility.nodes(), feasibility.columns["exact_ok"]) if not ok]
         print(
             f"warning: exact power constraint violated at {', '.join(bad)}",
             file=sys.stderr,

@@ -11,9 +11,10 @@ is the forward sweep only (forward_hop): it carries the source vector
 s_{l+1} = A_l s_l and the transfer matrix from every upstream relay noise
 to layer l+1, whose squared row sums give the propagated noise power.
 destination_rows is the backward sweep, run where its rows r_l (the
-coefficient from a layer-l transmission to the destination) are read;
-visible_row(net, betas, l) runs it down to row l only and applies the one
-residue rule, network.drop_residue, to that row alone.  These per-layer
+coefficient from a layer-l transmission to the destination) are read.
+Where one row is read, swept_row runs the sweep down to that row only;
+schemes.downstream_gains reads it as it is, and visible_row(net, betas, l)
+applies the one residue rule, network.drop_residue, to it.  These per-layer
 arrays are the interface: callers index them by layer and node, and no
 per-node accessor re-derives an entry.  The oracle that checks them,
 brute-force path enumeration, lives in anclab.oracle: it reads only
@@ -97,12 +98,18 @@ def destination_rows(net: LayeredNetwork, betas) -> list[np.ndarray]:
     return [row[..., 0, :] for row in reversed(_backward_rows(net.gain_matrices, betas))]
 
 
+def swept_row(h, betas) -> np.ndarray:
+    """First row of the backward sweep over the hops h, in len(h) - 1 steps: row l of a
+    network is swept_row(net.gain_matrices[l:], betas[l:]), destination_rows' row l bit for bit."""
+    return _backward_rows(h, betas)[-1][0]
+
+
 def visible_row(net: LayeredNetwork, betas, layer: int) -> np.ndarray:
     """destination_rows(net, betas)[layer], swept down to that row only, with an
     entry no larger than 1e-12 times the same sweep on |H| and |beta| set to 0.0."""
     h, betas = net.gain_matrices[layer:], betas[layer:]
-    scale = _backward_rows([*map(np.abs, h)], [*map(np.abs, betas)])[-1][0]
-    return drop_residue(_backward_rows(h, betas)[-1][0], scale)
+    scale = swept_row([*map(np.abs, h)], [*map(np.abs, betas)])
+    return drop_residue(swept_row(h, betas), scale)
 
 
 def forward_hop(net: LayeredNetwork, betas, layer: int, source, transfer):

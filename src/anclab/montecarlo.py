@@ -14,20 +14,25 @@ into buffers allocated once per block and adds the pass's moment sums to the
 block's.  The streams carry on from pass to pass, so the samples equal one
 draw of the block's length.  Blocks' sums are added in block order, so
 reports are bit-identical for a fixed seed regardless of the worker count.
+
+Transmitting nodes come in one order everywhere: the source, then the
+relays layer-major.  SimReport.transmit_power is keyed by NodeId in that
+order, analytic_moments returns its transmit powers as one array in that
+order, and agreement_check pairs the two by position.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .coding import propagate_coefficients
 from .gains import GainAssignment
 from .network import LayeredNetwork, NodeId, require_int_fields
-from .report import as_json, records_csv
+from .report import FLOAT_FORMAT, as_json, csv_table
 
 _BLOCK = 1 << 15
 _PASS = 1 << 11
@@ -192,14 +197,11 @@ def simulate(net: LayeredNetwork, gains: GainAssignment, config: SimConfig) -> S
 
 
 def analytic_moments(net: LayeredNetwork, gains: GainAssignment) -> dict:
-    """Exact counterparts of the simulated quantities."""
+    """Exact counterparts of the simulated quantities, transmit_power an array in node order."""
     state = propagate_coefficients(net, gains)
-    power = {net.source: net.source_power}
-    for layer in range(1, net.num_layers):
-        for i, p in enumerate(state.transmit_powers(layer)):
-            power[NodeId(layer, i)] = float(p)
+    relays = [state.transmit_powers(layer) for layer in range(1, net.num_layers)]
     return {
-        "transmit_power": power,
+        "transmit_power": np.concatenate([[net.source_power], *relays]),
         "source_coeff": float(state.source[-1][0]),
         "noise_power": float(state.noise[-1][0]),
         "snr": state.snr,
@@ -213,8 +215,11 @@ class AgreementCheck:
     empirical: float
     analytic: float
     stderr: float
-    z: float = field(metadata={"float_format": ".6g"})
+    z: float
     ok: bool
+
+
+_CHECK_COLUMNS = ("quantity", "node", "empirical", "analytic", "stderr", "z", "ok")
 
 
 @dataclass(frozen=True)
@@ -230,7 +235,10 @@ class AgreementReport:
         return {**as_json(self), "ok": self.ok}
 
     def to_csv(self) -> str:
-        return records_csv(AgreementCheck, self.checks)
+        """One row per check in _CHECK_COLUMNS order; z is written with ".6g"."""
+        rows = ([getattr(c, name) for name in _CHECK_COLUMNS] for c in self.checks)
+        formats = [".6g" if name == "z" else FLOAT_FORMAT for name in _CHECK_COLUMNS]
+        return csv_table(_CHECK_COLUMNS, rows, formats)
 
 
 def agreement_check(
@@ -239,8 +247,10 @@ def agreement_check(
     """Compare empirical moments against analytic values at a z threshold."""
     if not (math.isfinite(z_threshold) and z_threshold > 0):
         raise ValueError(f"z_threshold must be finite and positive, got {z_threshold!r}")
-    if set(report.transmit_power) != set(analytic["transmit_power"]):
-        raise ValueError("node sets of the report and the analytic values differ")
+    powers = analytic["transmit_power"].tolist()
+    n, m = len(report.transmit_power), len(powers)
+    if n != m:
+        raise ValueError(f"the report has {n} transmitting nodes, the analytic values {m}")
     checks = []
 
     def add(quantity, node, empirical, expected, stderr):
@@ -260,14 +270,10 @@ def agreement_check(
             )
         )
 
-    for node in sorted(report.transmit_power):
-        add(
-            "transmit_power",
-            node,
-            report.transmit_power[node],
-            analytic["transmit_power"][node],
-            report.transmit_power_se[node],
-        )
+    # Both sides list the transmitting nodes in the same layer-major order.
+    for node, exact in zip(report.transmit_power, powers):
+        power, se = report.transmit_power[node], report.transmit_power_se[node]
+        add("transmit_power", node, power, exact, se)
     add("source_coeff", None, report.source_coeff, analytic["source_coeff"], report.source_coeff_se)
     add("snr", None, report.snr, analytic["snr"], report.snr_se)
     return AgreementReport(checks=tuple(checks), z_threshold=z_threshold)

@@ -19,16 +19,15 @@ entries of these arrays.  The condition is one-directional:
 exact_transmit_power computes the true second moment by propagating the
 gains (CodingState.transmit_powers reads a whole layer of one propagation)
 so the two can be compared, and check_feasible reports both verdicts side
-by side.  Its report holds one column per quantity over all relays,
-layer-major; the per-relay records (entries) are built only when read or
-serialized.
+by side.  Its report holds one array per quantity over all relays,
+layer-major, and nothing else: a relay's "layer:index" label is built from
+the layer sizes only when the report is written.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -36,7 +35,7 @@ import numpy as np
 from .coding import propagate_coefficients
 from .gains import GainAssignment
 from .network import LayeredNetwork, NodeId, RegimeSpec
-from .report import as_json, records_csv
+from .report import csv_table
 
 
 def received_powers(net: LayeredNetwork, layer: int) -> np.ndarray:
@@ -102,18 +101,9 @@ def exact_transmit_power(net: LayeredNetwork, gains: GainAssignment, k: NodeId) 
 _PASS_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class NodeFeasibility:
-    node: NodeId
-    beta: float
-    beta_max: float
-    exact_power: float
-    budget: float
-    sufficient_ok: bool
-    exact_ok: bool
-
-
-_COLUMNS = tuple(f.name for f in fields(NodeFeasibility))[1:]  # every field but node
+# The report's columns, in the order its CSV and JSON write them after "node".
+_COLUMNS = ("beta", "beta_max", "exact_power", "budget", "sufficient_ok", "exact_ok")
+_HEADER = ("node", *_COLUMNS)
 
 
 def _column(parts: Sequence[np.ndarray]) -> np.ndarray:
@@ -125,8 +115,8 @@ def _column(parts: Sequence[np.ndarray]) -> np.ndarray:
 class FeasibilityReport:
     """Per-relay feasibility as read-only columns over every relay, layer-major.
 
-    columns maps each NodeFeasibility field but node to its column;
-    relay_sizes holds the number of relays of layers 1..L-1.
+    columns maps each name of _COLUMNS to its column; relay_sizes holds the
+    number of relays of layers 1..L-1.
     """
 
     relay_sizes: tuple[int, ...]
@@ -140,23 +130,24 @@ class FeasibilityReport:
     def exact_ok(self) -> bool:
         return bool(self.columns["exact_ok"].all())
 
-    @cached_property
-    def entries(self) -> tuple[NodeFeasibility, ...]:
-        """One record per relay, built on first read."""
-        nodes = [
-            NodeId(layer, i)
+    def nodes(self) -> list[str]:
+        """The "layer:index" label of every relay, layer-major."""
+        return [
+            str(NodeId(layer, i))
             for layer, size in enumerate(self.relay_sizes, start=1)
             for i in range(size)
         ]
-        values = [self.columns[name].tolist() for name in _COLUMNS]
-        return tuple(map(NodeFeasibility, nodes, *values))
+
+    def _rows(self):
+        """One _HEADER row per relay, the values as Python floats and bools."""
+        return zip(self.nodes(), *(self.columns[name].tolist() for name in _COLUMNS))
 
     def to_dict(self) -> dict:
-        verdicts = {"sufficient_ok": self.sufficient_ok, "exact_ok": self.exact_ok}
-        return {"nodes": as_json(self.entries), **verdicts}
+        nodes = [dict(zip(_HEADER, row)) for row in self._rows()]
+        return {"nodes": nodes, "sufficient_ok": self.sufficient_ok, "exact_ok": self.exact_ok}
 
     def to_csv(self) -> str:
-        return records_csv(NodeFeasibility, self.entries)
+        return csv_table(_HEADER, self._rows())
 
 
 def check_feasible(net: LayeredNetwork, gains: GainAssignment) -> FeasibilityReport:

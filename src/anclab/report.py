@@ -1,4 +1,4 @@
-"""One writer for every report, driven by dataclass fields.
+"""One writer for every report: a JSON rule and a CSV table.
 
 JSON rule (as_json): a dataclass becomes a dict of its fields in order, a
 NodeId becomes its "layer:index" text, dict keys become str, tuples become
@@ -8,9 +8,8 @@ used because it would expand a NodeId into {"layer", "index"}.
 CSV cell rule (cell): floats are written with 12 significant digits
 (".12g"), booleans in lowercase, None as an empty cell, and anything else
 through str().  A table is a header line plus one line per row, joined with
-commas and ended with LF.  A record's row is its fields() in order; a field
-can carry metadata={"float_format": spec} to override ".12g", and the one
-that does is AgreementCheck.z with ".6g".
+commas and ended with LF.  A table may give a column its own float format;
+the one that does is the z column of AgreementReport.to_csv, with ".6g".
 """
 
 from __future__ import annotations
@@ -62,13 +61,3 @@ def csv_table(
     lines = [",".join(header)]
     lines.extend(",".join(map(cell, row, float_formats)) for row in rows)
     return "\n".join(lines) + "\n"
-
-
-def records_csv(cls, records: Iterable) -> str:
-    """CSV of dataclass records of type cls: one column per field, in order."""
-    columns = fields(cls)
-    return csv_table(
-        [f.name for f in columns],
-        ([getattr(record, f.name) for f in columns] for record in records),
-        [f.metadata.get("float_format", FLOAT_FORMAT) for f in columns],
-    )

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .coding import destination_rows, visible_row
+from .coding import swept_row, visible_row
 from .gains import GainAssignment
 from .network import LayeredNetwork, NodeId, RegimeSpec, safe_box
 from .power import received_powers, regime_delta, safe_gains
@@ -39,7 +39,7 @@ def downstream_gains(net: LayeredNetwork, gains: GainAssignment, layer: int) -> 
     equals the propagated noise coefficient from j to the destination.
     """
     net.require_relay_layer(layer)
-    return destination_rows(net, gains.betas(net))[layer]
+    return swept_row(net.gain_matrices[layer:], gains.betas(net)[layer:])
 
 
 def matched_gains(net: LayeredNetwork, spec: RegimeSpec) -> tuple[GainAssignment, float]:

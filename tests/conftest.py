@@ -14,8 +14,8 @@ import numpy as np
 
 from anclab import GainAssignment, NodeId, build_network, max_safe_gain, propagate_coefficients
 from anclab.coding import destination_rows, forward_hop
-from anclab.power import _PASS_RTOL, NodeFeasibility, safe_gains
-from anclab.report import as_json, records_csv
+from anclab.power import _PASS_RTOL, safe_gains
+from anclab.report import csv_table
 
 
 def random_network(
@@ -134,10 +134,15 @@ def per_node_block_sums(net, beta_layers, seed: int, block: int, size: int):
     return np.array(node).T, np.array(dest)
 
 
-def feasibility_records(net, gains) -> tuple[NodeFeasibility, ...]:
-    """Reference for `check_feasible`: one record per relay, built in a loop."""
+FEASIBILITY_HEADER = (
+    "node", "beta", "beta_max", "exact_power", "budget", "sufficient_ok", "exact_ok"
+)
+
+
+def feasibility_records(net, gains) -> list[dict]:
+    """Reference for `check_feasible`: one FEASIBILITY_HEADER dict per relay, built in a loop."""
     state = propagate_coefficients(net, gains)
-    entries = []
+    records = []
     for layer in range(1, net.num_layers):
         beta = gains.betas(net)[layer]
         beta_max = safe_gains(net, layer)
@@ -146,24 +151,25 @@ def feasibility_records(net, gains) -> tuple[NodeFeasibility, ...]:
         sufficient_ok = np.abs(beta) <= beta_max * (1.0 + _PASS_RTOL)
         exact_ok = exact <= budget * (1.0 + _PASS_RTOL)
         for i in range(net.layer_sizes[layer]):
-            entries.append(
-                NodeFeasibility(
-                    node=NodeId(layer, i),
-                    beta=float(beta[i]),
-                    beta_max=float(beta_max[i]),
-                    exact_power=float(exact[i]),
-                    budget=float(budget[i]),
-                    sufficient_ok=bool(sufficient_ok[i]),
-                    exact_ok=bool(exact_ok[i]),
-                )
+            records.append(
+                {
+                    "node": str(NodeId(layer, i)),
+                    "beta": float(beta[i]),
+                    "beta_max": float(beta_max[i]),
+                    "exact_power": float(exact[i]),
+                    "budget": float(budget[i]),
+                    "sufficient_ok": bool(sufficient_ok[i]),
+                    "exact_ok": bool(exact_ok[i]),
+                }
             )
-    return tuple(entries)
+    return records
 
 
-def records_outputs(entries) -> tuple[dict, str]:
+def records_outputs(records) -> tuple[dict, str]:
     """The to_dict() and to_csv() a feasibility report of these records writes."""
     verdicts = {
-        "sufficient_ok": all(e.sufficient_ok for e in entries),
-        "exact_ok": all(e.exact_ok for e in entries),
+        "sufficient_ok": all(r["sufficient_ok"] for r in records),
+        "exact_ok": all(r["exact_ok"] for r in records),
     }
-    return {"nodes": as_json(entries), **verdicts}, records_csv(NodeFeasibility, entries)
+    rows = ([r[name] for name in FEASIBILITY_HEADER] for r in records)
+    return {"nodes": records, **verdicts}, csv_table(FEASIBILITY_HEADER, rows)

@@ -4,9 +4,9 @@ perfbench/tracer.py names, per anclab module, the entry points whose calls
 and time make up each per-layer metric.  A name that disappears makes the
 tracer report zero for it instead of failing, so this checks every name
 against the package.  The benchmark's recorded inputs must also pass
-build_network's checks, or its workloads fail to set up, and a few of each
-workload's jobs (all of optimize_small's and analyze_deep's) must pass their
-own checks, as the benchmark runs them.
+build_network's checks, or its workloads fail to set up, and some of each
+workload's jobs (all of optimize_small's and analyze_deep's, one per network
+of simulate_wide's) must pass their own checks, as the benchmark runs them.
 """
 
 import importlib
@@ -59,7 +59,8 @@ def test_benchmark_jobs_pass_their_checks(name, tmp_path):
     # compares with perfbench/refs.  optimize_small runs every job, since a
     # fault in how the optimizer's lockstep starts leave their stack shows on
     # a few networks only, and so does analyze_deep, the one library reader
-    # of BoundsReport's values.  simulate_wide runs two jobs.
+    # of BoundsReport's values.  simulate_wide runs one job of each of its
+    # networks, through the benchmark's readers of SimReport and AgreementCheck.
     workload = WORKLOADS.make_workload(name, 0, tmp_path)
     try:
         if name == "cli_small":
@@ -69,7 +70,9 @@ def test_benchmark_jobs_pass_their_checks(name, tmp_path):
             jobs = workload.jobs
             assert len(jobs) == WORKLOADS.INPUTS_PER_RUN
         else:
-            jobs = workload.jobs[:2]
+            pools = [pool for pool, _ in workload.inputs["jobs"]]
+            jobs = list(dict(zip(pools, workload.jobs)).values())
+            assert len(jobs) == WORKLOADS.SIMULATE_NETWORKS
         for job in jobs:
             assert job.check(job.collect(job.run())) is None, f"{job.cls}: {job.label}"
     finally:

@@ -21,6 +21,7 @@ from anclab import (
     rate_lower_bound,
     rate_upper_bound,
     received_power,
+    regime_delta,
     save_network,
 )
 from anclab.bounds import exceptional_power_sum, lower_bound_terms
@@ -78,14 +79,21 @@ def test_upper_bound_rejects_destination_layer():
 
 
 def test_lower_bound_zero_margin_closed_form():
+    # At the last relay layer the geometric noise sum is empty, so c2 and c3
+    # take their zero-margin values whatever the margin; the margin enters
+    # the rate once, through one hop of attenuation 1 + delta.
     net = asymmetric_three_layer()
     spec = RegimeSpec(exceptional_layer=2)
     _, c1 = matched_gains(net, spec)
     s = exceptional_power_sum(net, spec)
-    rate, c2, c3 = lower_bound_terms(net, spec, c1, delta=0.0)
+    delta = regime_delta(net, spec)
+    assert delta > 0.0
+    rate, c2, c3 = lower_bound_terms(net, spec, c1)
     assert c2 == 1.0  # geometric sum empty at the last relay layer
     assert c3 == pytest.approx(1.0 + 1.0 / (c1**2 * s), rel=1e-12)
-    assert rate == pytest.approx(anc_rate(s / c3), rel=1e-12)
+    attenuation = 1.0 + delta
+    expected = (s / attenuation) / ((1.0 - 1.0 / attenuation) * s + c3)
+    assert rate == pytest.approx(anc_rate(expected), rel=1e-12)
 
 
 def test_lower_bound_first_layer_exponent_vanishes():
@@ -99,8 +107,9 @@ def test_lower_bound_first_layer_exponent_vanishes():
     spec = RegimeSpec(exceptional_layer=1)
     _, c1 = matched_gains(net, spec)
     s = exceptional_power_sum(net, spec)
-    delta = 0.05
-    rate, c2, c3 = lower_bound_terms(net, spec, c1, delta=delta)
+    delta = regime_delta(net, spec)
+    assert delta > 0.0
+    rate, c2, c3 = lower_bound_terms(net, spec, c1)
     p_rd = received_power(net, net.destination)
     assert c2 == pytest.approx(1.0 + delta * p_rd / (1.0 + delta), rel=1e-12)
     assert rate == pytest.approx(anc_rate(s / c3), rel=1e-12)

@@ -221,6 +221,22 @@ def test_simulate_flags_infeasible_gains(chain_file, tmp_path, capsys):
     assert payload["feasibility"]["exact_ok"] is False
 
 
+def test_simulate_warning_names_violating_relays_layer_major(tmp_path, capsys):
+    # Relay 1:0 keeps its budget; 1:1 breaks it outright and drives 2:0 over
+    # its own, while 2:1 stays inside.
+    config = str(CONFIGS / "three_layer.json")
+    gains_file = tmp_path / "gains.json"
+    gains = GainAssignment.from_layers([[0.1, 3.0], [5.0, 0.1]])
+    save_gains(load_network(config), gains, str(gains_file))
+    out = tmp_path / "r.csv"
+    args = ["simulate", "--network", config, "--gains", str(gains_file),
+            "--samples", "20000", "--seed", "4", "--out", str(out)]
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: exact power constraint violated at 1:1, 2:0\n"
+    assert captured.out == ""
+
+
 def test_optimize_on_one_hop_network(tmp_path, capsys):
     # No relay, so no gain to choose: the empty assignment and its SNR.
     net = chain_network(hops=1)

@@ -1,7 +1,8 @@
 """Property-based checks on generated networks: the coding core and its
 stack axis, the optimizer's layer sweep, its SNR and its lockstep starts,
 the rate sandwich, JSON round trips, the feasibility report, the Monte Carlo
-block kernel and the relay-layer range every layer-taking function accepts.
+block kernel and agreement join, and the relay-layer range every
+layer-taking function accepts.
 
 Networks have 2..4 hops and up to 3 nodes per relay layer, so the path
 oracle stays cheap; the stack-axis checks take layers up to 8 wide, where a
@@ -11,6 +12,7 @@ every run checks the same examples and a failure reproduces.
 
 import json
 import logging
+import math
 import re
 
 import numpy as np
@@ -49,7 +51,7 @@ from anclab import (
 )
 from anclab.bounds import exceptional_power_sum, lower_bound_terms
 from anclab.coding import destination_rows, forward_hop, visible_row
-from anclab.montecarlo import _block_sums, analytic_moments
+from anclab.montecarlo import SimConfig, _block_sums, agreement_check, analytic_moments, simulate
 from anclab.network import drop_residue
 from anclab.optimize import _ascend, _best_gain, _sweep_layer
 from anclab.oracle import path_coefficient
@@ -59,6 +61,8 @@ from conftest import (
     feasibility_records,
     near_cancelling_network,
     per_node_block_sums,
+    random_box_gains,
+    random_network,
     records_outputs,
     swept_coefficients,
 )
@@ -265,6 +269,50 @@ def test_feasibility_report_matches_record_loop(case):
     report = check_feasible(net, gains)
     assert json.dumps(report.to_dict()) == json.dumps(expected_dict)  # types and key order too
     assert report.to_csv() == expected_csv
+
+
+def _keyed_agreement_csv(report, net, gains, z_threshold):
+    """agreement_check(...).to_csv() built the node-keyed way: the analytic
+    transmit powers in a dict keyed by NodeId, the nodes joined in sorted
+    order, and every cell formatted here."""
+    state = propagate_coefficients(net, gains)
+    analytic = {net.source: net.source_power}
+    for layer in range(1, net.num_layers):
+        for i, p in enumerate(state.transmit_powers(layer)):
+            analytic[NodeId(layer, i)] = float(p)
+    rows = [
+        ("transmit_power", node, report.transmit_power[node], analytic[node],
+         report.transmit_power_se[node])
+        for node in sorted(report.transmit_power)
+    ]
+    rows.append(("source_coeff", None, report.source_coeff, float(state.source[-1][0]),
+                 report.source_coeff_se))
+    rows.append(("snr", None, report.snr, state.snr, report.snr_se))
+    lines = ["quantity,node,empirical,analytic,stderr,z,ok"]
+    for quantity, node, empirical, expected, stderr in rows:
+        if stderr > 0:
+            z = abs(empirical - expected) / stderr
+        else:
+            z = 0.0 if empirical == expected else math.inf
+        label = "" if node is None else str(node)
+        floats = [format(v, ".12g") for v in (empirical, expected, stderr)]
+        ok = str(z <= z_threshold).lower()
+        lines.append(",".join([quantity, label, *floats, format(z, ".6g"), ok]))
+    return "\n".join(lines) + "\n"
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_agreement_check_joins_nodes_by_position(seed, coherent):
+    rng = np.random.default_rng(seed)
+    net = random_network(rng, coherent=coherent)
+    gains = random_box_gains(rng, net, signed=not coherent)
+    report = simulate(net, gains, SimConfig(samples=4096, seed=seed))
+    analytic = analytic_moments(net, gains)
+    assert list(report.transmit_power) == sorted(report.transmit_power)
+    assert len(report.transmit_power) == len(analytic["transmit_power"])
+    expected = _keyed_agreement_csv(report, net, gains, z_threshold=4.0)
+    assert agreement_check(report, analytic, z_threshold=4.0).to_csv() == expected
 
 
 def _destination_coefficients(net, betas):

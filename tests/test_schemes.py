@@ -17,6 +17,7 @@ from anclab import (
     received_power,
     regime_delta,
 )
+from anclab.coding import destination_rows
 from anclab.oracle import path_coefficient
 from anclab.presets import asymmetric_three_layer, chain_network, wide_bottleneck_network
 from conftest import near_cancelling_network, random_network
@@ -40,8 +41,8 @@ def test_full_power_passes_sufficient_with_equality():
         net = random_network(rng, coherent=True)
         report = check_feasible(net, full_power_gains(net))
         assert report.sufficient_ok
-        for e in report.entries:
-            assert abs(e.beta) == pytest.approx(e.beta_max, rel=1e-12)
+        for beta, beta_max in zip(report.columns["beta"], report.columns["beta_max"]):
+            assert abs(beta) == pytest.approx(beta_max, rel=1e-12)
 
 
 def test_downstream_gains_last_layer_is_final_hop():
@@ -177,6 +178,32 @@ def test_matched_gains_sweeps_down_to_its_layer_once(monkeypatch):
             steps.clear(), tested.clear()
             matched_gains(net, RegimeSpec(exceptional_layer=l))
             assert steps == [hops - 1 - l] * 2 and tested == [(sizes[l],)]
+
+
+def test_downstream_gains_sweeps_down_to_its_layer_once(monkeypatch):
+    # Row l alone: L-1-l backward steps, with the bits of the full sweep's row l.
+    steps = []
+    backward_rows = anclab.coding._backward_rows
+
+    def counted_rows(h, betas):
+        rows = backward_rows(h, betas)
+        steps.append(len(rows) - 1)  # one row per step, after r_{L-1}
+        return rows
+
+    rng = np.random.default_rng(27)
+    for hops in range(2, 8):
+        sizes = [1] + [int(w) for w in rng.integers(1, 5, hops - 1)] + [1]
+        matrices = [rng.uniform(-2.0, 2.0, (m, n)) for n, m in zip(sizes, sizes[1:])]
+        net = build_network(sizes, matrices, rng.uniform(0.5, 4.0, sum(sizes[1:-1])), 2.0)
+        gains = GainAssignment.from_layers([rng.uniform(-1.5, 1.5, w) for w in sizes[1:-1]])
+        full = destination_rows(net, gains.betas(net))
+        for l in range(1, hops):
+            steps.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(anclab.coding, "_backward_rows", counted_rows)
+                row = downstream_gains(net, gains, l)
+            assert steps == [hops - 1 - l]
+            assert row.tobytes() == full[l].tobytes()
 
 
 def test_matched_rejects_invisible_node():
