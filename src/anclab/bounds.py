@@ -5,9 +5,11 @@ comes from an idealized network in which every layer except the exceptional
 one is noiseless; the lower bound is the closed-form rate guaranteed for
 the matched scheme, of which it reads only the constant c1 that matched_gains
 returns.  Both are functions of the exceptional layer's received powers and
-the regime margin.  With nonnegative channel gains a valid instance
-sandwiches its achieved rate between them; signed gains can lift the lower
-bound above it (tests/test_bounds.py keeps a counterexample).
+the regime margin, all read off the network's arrays; the destination's
+received power p_RD is float(net.received_powers[-1][0]).  With nonnegative
+channel gains a valid instance sandwiches its achieved rate between them;
+signed gains can lift the lower bound above it (tests/test_bounds.py keeps
+a counterexample).
 
 When the bounds coincide: to first order, upper - lower is about
 ((l - 1) * delta * s + c2 / (c1**2 * s)) / (2 ln 2) for exceptional layer l,
@@ -32,7 +34,7 @@ import numpy as np
 from .coding import propagate_coefficients, visible_row
 from .gains import GainAssignment
 from .network import LayeredNetwork, RegimeSpec
-from .power import power_margin, received_power, received_powers, regime_delta
+from .power import regime_delta
 
 
 def anc_rate(snr: float) -> float:
@@ -70,7 +72,7 @@ def ideal_snr(net: LayeredNetwork, gains: GainAssignment, noisy_layer: int) -> f
 def exceptional_power_sum(net: LayeredNetwork, spec: RegimeSpec) -> float:
     """Sum of received powers over the exceptional layer."""
     spec.validate(net)
-    return float(received_powers(net, spec.exceptional_layer).sum())
+    return float(net.received_powers[spec.exceptional_layer - 1].sum())
 
 
 def rate_upper_bound(net: LayeredNetwork, spec: RegimeSpec) -> float:
@@ -99,7 +101,7 @@ def lower_bound_terms(
         raise ValueError(f"matched-scheme constant must be positive, got {c1}")
     delta = regime_delta(net, spec)
     s = exceptional_power_sum(net, spec)
-    p_rd = received_power(net, net.destination)
+    p_rd = float(net.received_powers[-1][0])
 
     c2 = 1.0
     for d in range(1, net.num_layers - l):
@@ -123,7 +125,7 @@ def rate_lower_bound(net: LayeredNetwork, spec: RegimeSpec, c1: float) -> float:
 
 def mac_cutset(net: LayeredNetwork) -> float:
     """Multiple-access cut bound at the destination, 0.5 * log2(1 + P_R_D)."""
-    return anc_rate(received_power(net, net.destination))
+    return anc_rate(float(net.received_powers[-1][0]))
 
 
 def high_snr_lower_bound(net: LayeredNetwork) -> float:
@@ -132,8 +134,8 @@ def high_snr_lower_bound(net: LayeredNetwork) -> float:
     Equals the MAC cut bound shrunk by one margin factor per relay hop; the
     two coincide as the margin vanishes (and exactly for a single hop).
     """
-    delta = power_margin(net, range(1, net.num_layers))
-    p_rd = received_power(net, net.destination)
+    delta = 1.0 / min(net.least_received_powers[:-1], default=math.inf)
+    p_rd = float(net.received_powers[-1][0])
     return anc_rate(p_rd / _margin_power(delta, net.num_layers - 1))
 
 

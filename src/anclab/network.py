@@ -9,7 +9,9 @@ The network is frozen, so what depends on it alone is computed once per
 instance and kept on it: received_powers, the full-budget coherent received
 power of every layer, handed out as read-only arrays; the smallest of each
 layer (least_received_powers); and each relay layer's safe-gain box without
-a uniform margin (safe_boxes).
+a uniform margin (safe_boxes).  These caches are the one accessor of those
+quantities, entry l-1 for layer l: every scheme, bound and report reads
+them, and power's per-node functions read single entries of them.
 
 Signed gains can cancel.  drop_residue is the one rule for when they do: a
 signed sum no larger than 1e-12 times the same sum on magnitudes is exactly
@@ -64,11 +66,16 @@ class NetworkValidationError(ValueError):
     """Raised when a network description violates the layered model."""
 
 
+def is_int(value) -> bool:
+    """True for a Python or numpy integer, False for a bool or anything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def require_int_fields(obj, limits: tuple[tuple[str, int], ...]) -> None:
     """Raise ValueError naming the first field of obj that is not an integer >= its limit."""
     for name, least in limits:
         value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        if not is_int(value) or value < least:
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
@@ -129,8 +136,9 @@ class LayeredNetwork:
                 yield NodeId(layer, index)
 
     def require_relay_layer(self, layer: int, name: str = "layer") -> None:
-        """Raise ValueError unless layer is a relay layer 1..L-1: the one relay-layer check."""
-        if not 1 <= layer <= self.num_layers - 1:
+        """Raise ValueError unless layer is a relay layer 1..L-1, an integer and not a bool:
+        the one relay-layer check."""
+        if not (is_int(layer) and 1 <= layer <= self.num_layers - 1):
             last = self.num_layers - 1
             raise ValueError(f"{name} must be a relay layer in 1..{last}, got {layer}")
 

@@ -38,7 +38,6 @@ import numpy as np
 from .coding import destination_rows, forward_hop
 from .gains import GainAssignment
 from .network import LayeredNetwork, RegimeSpec, require_int_fields
-from .power import safe_gains
 from .schemes import matched_gains
 
 _log = logging.getLogger(__name__)
@@ -198,7 +197,7 @@ def _ascend(net, starts, boxes, max_iterations, first=0):
 def _starts(net, boxes, config):
     """Every starting point, in start order: full power, then the matched
     scheme of each exceptional layer that has one, then the random draws."""
-    yield boxes  # full power: the safe_gains boxes, which _ascend clips into copies
+    yield boxes  # full power: the network's safe boxes, which _ascend clips into copies
     for layer in range(1, net.num_layers):
         try:
             assignment, _ = matched_gains(net, RegimeSpec(exceptional_layer=layer))
@@ -219,7 +218,7 @@ def optimize_gains(
     feasible exceptional layer, and config.restarts random draws inside the
     boxes.  Deterministic for a fixed config; ties keep the earliest start.
     """
-    boxes = [safe_gains(net, layer) for layer in range(1, net.num_layers)]
+    boxes = list(net.safe_boxes)
     starts = _starts(net, boxes, config)
     best_layers, best_snr = None, -1.0
     count = 0

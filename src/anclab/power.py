@@ -1,21 +1,19 @@
 """Received powers, regime margin, and transmit-power feasibility.
 
-Everything here is computed one layer at a time on arrays.
-received_powers(layer) is the signal power each node of a layer would see
-with every in-neighbor transmitting a full-budget symbol coherently; it
-depends only on the network, never on the chosen gains, so it is computed
-once per network (LayeredNetwork.received_powers) and every caller reads
-the same read-only array.  Gains are signed and enter the sum before
-squaring, so mixed signs can drive the value toward zero; build_network
-refuses a network where a received power or its reciprocal is not finite.
+A relay's received power P_R is the signal power it would see with every
+in-neighbor transmitting a full-budget symbol coherently; its safe-gain box
+sqrt(P / ((1 + 1/P_R) * P_R)) is the largest amplification magnitude for
+which that received-power sufficient condition keeps its transmit budget.
+Both depend on the network alone, so the network keeps them as read-only
+arrays (LayeredNetwork.received_powers, safe_boxes, least_received_powers)
+and every caller reads those; this module has no array layer of its own.
+Gains are signed and enter the sum before squaring, so mixed signs can drive
+P_R toward zero; build_network refuses a P_R or 1/P_R that is not finite.
 
-safe_gains(layer) is the box: the largest amplification magnitude for which
-the received-power sufficient condition guarantees each relay's transmit
-budget.  With each relay's own margin 1/P_R it too depends on the network
-alone, so it is read from the network's cache (LayeredNetwork.safe_boxes),
-as power_margin and regime_delta read each layer's smallest received power
-(LayeredNetwork.least_received_powers).  The per-node functions read single
-entries of these arrays.  The condition is one-directional:
+The per-node functions (received_power, node_delta, max_safe_gain,
+exact_transmit_power) are checked leaves: each refuses a node that the
+network lacks, naming it, then reads one entry of an array, and no other
+module of the package calls them.  The condition is one-directional:
 exact_transmit_power computes the true second moment by propagating the
 gains (CodingState.transmit_powers reads a whole layer of one propagation)
 so the two can be compared, and check_feasible reports both verdicts side
@@ -26,38 +24,33 @@ the layer sizes only when the report is written.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .coding import propagate_coefficients
 from .gains import GainAssignment
-from .network import LayeredNetwork, NodeId, RegimeSpec
+from .network import LayeredNetwork, NodeId, RegimeSpec, is_int
 from .report import csv_table
 
 
-def received_powers(net: LayeredNetwork, layer: int) -> np.ndarray:
-    """Full-budget coherent received power (sum_j h[j,k] sqrt(P_j))^2 of a layer, read-only."""
-    if not 1 <= layer <= net.num_layers:
-        raise ValueError(f"layer {layer} receives nothing; receiving layers are 1..{net.num_layers}")
-    return net.received_powers[layer - 1]
-
-
-def safe_gains(net: LayeredNetwork, layer: int) -> np.ndarray:
-    """Largest |beta| of every relay of a layer under the sufficient power condition.
-
-    Equals sqrt(P_k / ((1 + delta_k) * P_R)) with P_R the received power and
-    delta_k = 1/P_R, read-only from the network's cache.
-    """
-    net.require_relay_layer(layer)
-    return net.safe_boxes[layer - 1]
+def _node_index(net: LayeredNetwork, k: NodeId) -> int:
+    """k.index, after checking that it is an integer, not a bool, that names a node of
+    k's layer.  Each per-node function checks k's layer first, with its own message."""
+    size = net.layer_sizes[k.layer]
+    if not (is_int(k.index) and 0 <= k.index < size):
+        raise ValueError(f"no node {k} in the network: layer {k.layer} holds nodes 0..{size - 1}")
+    return int(k.index)
 
 
 def received_power(net: LayeredNetwork, k: NodeId) -> float:
     """Full-budget coherent received power of one node."""
-    return float(received_powers(net, k.layer)[k.index])
+    if not (is_int(k.layer) and 1 <= k.layer <= net.num_layers):
+        raise ValueError(
+            f"layer {k.layer} receives nothing; receiving layers are 1..{net.num_layers}"
+        )
+    return float(net.received_powers[k.layer - 1][_node_index(net, k)])
 
 
 def node_delta(net: LayeredNetwork, k: NodeId) -> float:
@@ -65,36 +58,31 @@ def node_delta(net: LayeredNetwork, k: NodeId) -> float:
     return 1.0 / received_power(net, k)
 
 
-def power_margin(net: LayeredNetwork, layers: Iterable[int]) -> float:
-    """Smallest delta with every node of the given layers receiving at least 1/delta, or 0."""
-    worst = math.inf
-    for layer in layers:
-        received_powers(net, layer)  # raises for a layer that receives nothing
-        worst = min(worst, net.least_received_powers[layer - 1])
-    return 1.0 / worst
-
-
 def regime_delta(net: LayeredNetwork, spec: RegimeSpec) -> float:
     """Smallest margin for which every node outside the exceptional layer
     (and the source) has received power at least 1/delta."""
     spec.validate(net)
-    others = [m for m in range(1, net.num_layers + 1) if m != spec.exceptional_layer]
-    return power_margin(net, others)
+    least = net.least_received_powers
+    return 1.0 / min(p for m, p in enumerate(least, start=1) if m != spec.exceptional_layer)
 
 
 def max_safe_gain(net: LayeredNetwork, k: NodeId) -> float:
     """Largest |beta| at relay k; the zero check only feeds perfbench's tracer self-test."""
     net.require_relay_layer(k.layer)
+    index = _node_index(net, k)
     if received_power(net, k) == 0.0:
         raise ValueError(f"received power at {k} is zero; no safe gain exists")
-    return float(safe_gains(net, k.layer)[k.index])
+    return float(net.safe_boxes[k.layer - 1][index])
 
 
 def exact_transmit_power(net: LayeredNetwork, gains: GainAssignment, k: NodeId) -> float:
     """True second moment of node k's transmission, beta_k^2 * E[reception^2]."""
+    if not (k.layer == 0 and is_int(k.layer)):  # the source transmits too
+        net.require_relay_layer(k.layer)
+    index = _node_index(net, k)
     if k.layer == 0:
         return net.source_power
-    return float(propagate_coefficients(net, gains).transmit_powers(k.layer)[k.index])
+    return float(propagate_coefficients(net, gains).transmit_powers(k.layer)[index])
 
 
 # Slack for float round-trips like beta = sqrt(x) followed by beta^2 <= x.

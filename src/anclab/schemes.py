@@ -20,14 +20,12 @@ import numpy as np
 from .coding import swept_row, visible_row
 from .gains import GainAssignment
 from .network import LayeredNetwork, NodeId, RegimeSpec, safe_box
-from .power import received_powers, regime_delta, safe_gains
+from .power import regime_delta
 
 
 def full_power_gains(net: LayeredNetwork) -> GainAssignment:
     """Every relay at its per-node safe maximum gain."""
-    return GainAssignment.from_layers(
-        [safe_gains(net, layer) for layer in range(1, net.num_layers)]
-    )
+    return GainAssignment.from_layers(net.safe_boxes)
 
 
 def downstream_gains(net: LayeredNetwork, gains: GainAssignment, layer: int) -> np.ndarray:
@@ -79,7 +77,7 @@ def matched_gains(net: LayeredNetwork, spec: RegimeSpec) -> tuple[GainAssignment
             raise ValueError(
                 f"{NodeId(l, int(zero[0]))} is invisible at the destination (compound gain zero)"
             )
-        p_r = received_powers(net, l)
+        p_r = net.received_powers[l - 1]
         # |g_j| / P_R_j can overflow; the min is right unless every term does.
         c1 = float(np.min(np.abs(g) / p_r * np.sqrt(net.relay_budgets[l - 1] / (1.0 + 1.0 / p_r))))
         if not 0.0 < c1 < math.inf:

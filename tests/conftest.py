@@ -14,7 +14,7 @@ import numpy as np
 
 from anclab import GainAssignment, NodeId, build_network, max_safe_gain, propagate_coefficients
 from anclab.coding import destination_rows, forward_hop
-from anclab.power import _PASS_RTOL, safe_gains
+from anclab.power import _PASS_RTOL
 from anclab.report import csv_table
 
 
@@ -145,7 +145,7 @@ def feasibility_records(net, gains) -> list[dict]:
     records = []
     for layer in range(1, net.num_layers):
         beta = gains.betas(net)[layer]
-        beta_max = safe_gains(net, layer)
+        beta_max = net.safe_boxes[layer - 1]
         exact = state.transmit_powers(layer)
         budget = net.relay_budgets[layer - 1]
         sufficient_ok = np.abs(beta) <= beta_max * (1.0 + _PASS_RTOL)

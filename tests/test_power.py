@@ -10,11 +10,14 @@ from anclab import (
     NetworkValidationError,
     NodeId,
     RegimeSpec,
+    anc_rate,
     bounds_report,
     build_network,
     check_feasible,
     exact_transmit_power,
     full_power_gains,
+    high_snr_lower_bound,
+    mac_cutset,
     matched_gains,
     max_safe_gain,
     network_from_dict,
@@ -25,7 +28,7 @@ from anclab import (
     regime_delta,
 )
 from anclab.network import coherent_power
-from anclab.power import _PASS_RTOL, power_margin, received_powers, safe_gains
+from anclab.power import _PASS_RTOL
 from anclab.presets import (
     asymmetric_three_layer,
     chain_network,
@@ -52,6 +55,41 @@ def test_source_receives_nothing():
     message = r"^layer 0 receives nothing; receiving layers are 1\.\.2$"
     with pytest.raises(ValueError, match=message):
         received_power(net, net.source)
+
+
+_PER_NODE = {
+    "received_power": received_power,
+    "node_delta": node_delta,
+    "max_safe_gain": max_safe_gain,
+    "exact_transmit_power": lambda net, k: exact_transmit_power(net, full_power_gains(net), k),
+}
+_MISSING = [
+    NodeId(1, -1), NodeId(2, -2), NodeId(1, 5), NodeId(2, 2), NodeId(1, 0.0), NodeId(2, True)
+]
+
+
+@pytest.mark.parametrize(
+    "name, node",
+    [(name, node) for name in sorted(_PER_NODE) for node in _MISSING]
+    + [("exact_transmit_power", NodeId(0, index)) for index in (7, 1, -1, 0.0, False)],
+)
+def test_per_node_functions_refuse_nodes_the_network_lacks(name, node):
+    # A negative index would alias another node of the layer, a large one
+    # would raise numpy's IndexError, and a float or bool index is no index.
+    net = asymmetric_three_layer()
+    last = net.layer_sizes[node.layer] - 1
+    message = f"no node {node} in the network: layer {node.layer} holds nodes 0..{last}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _PER_NODE[name](net, node)
+
+
+def test_per_node_functions_take_numpy_integers():
+    net = asymmetric_three_layer()
+    node = NodeId(np.int64(2), np.int64(1))
+    assert received_power(net, node) == received_power(net, NodeId(2, 1))
+    assert max_safe_gain(net, node) == float(net.safe_boxes[1][1])
+    source = NodeId(np.int64(0), np.int64(0))
+    assert exact_transmit_power(net, full_power_gains(net), source) == net.source_power
 
 
 def test_rescale_to_delta_result_is_checked_by_node():
@@ -142,7 +180,7 @@ def test_received_powers_cached_read_only_and_fresh():
         amplitudes = [np.array([math.sqrt(net.source_power)])]
         amplitudes += [np.sqrt(b) for b in net.relay_budgets]
         for layer in range(1, net.num_layers + 1):
-            powers = received_powers(net, layer)
+            powers = net.received_powers[layer - 1]
             assert powers is cached[layer - 1] and not powers.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 powers[0] = 1.0
@@ -158,20 +196,20 @@ def test_safe_boxes_and_least_powers_cached_read_only_and_fresh():
             assert net.least_received_powers[layer - 1] == float(p.min())
         for layer in range(1, net.num_layers):
             p = net.received_powers[layer - 1]
-            box = safe_gains(net, layer)
+            box = net.safe_boxes[layer - 1]
             assert box is net.safe_boxes[layer - 1] and not box.flags.writeable
             fresh = np.sqrt(net.relay_budgets[layer - 1] / ((1.0 + 1.0 / p) * p))
             np.testing.assert_array_equal(box, fresh)
 
 
-def test_power_margin_reads_receiving_layers_only():
-    # The margin is the reciprocal of the least received power over the layers.
+def test_margins_read_receiving_layers_only():
+    # A margin is the reciprocal of the least received power over its layers.
     net = build_network([1, 2, 1], [[[1.0], [0.5]], [[1.0, 1.0]]], [1.0, 1.0], 1.0)
-    assert power_margin(net, [1, 2]) == 4.0  # 1:1 receives 0.25
-    assert power_margin(net, [2]) == 1.0 / received_power(net, net.destination)
-    assert power_margin(net, []) == 0.0
-    with pytest.raises(ValueError, match="^layer 0 receives nothing"):
-        power_margin(net, [0])
+    p_rd = received_power(net, net.destination)
+    assert regime_delta(net, RegimeSpec(1)) == 1.0 / p_rd
+    assert high_snr_lower_bound(net) == anc_rate(p_rd / (1 + 4.0))  # 1:1 receives 0.25
+    one_hop = build_network([1, 1], [[[2.0]]], [], 1.0)  # no relay layer: margin 0
+    assert high_snr_lower_bound(one_hop) == mac_cutset(one_hop)
 
 
 def test_analyze_pipeline_evaluates_each_layer_once(monkeypatch):

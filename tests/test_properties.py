@@ -55,7 +55,6 @@ from anclab.montecarlo import SimConfig, _block_sums, agreement_check, analytic_
 from anclab.network import drop_residue
 from anclab.optimize import _ascend, _best_gain, _sweep_layer
 from anclab.oracle import path_coefficient
-from anclab.power import safe_gains
 from anclab.presets import rescale_to_delta
 from conftest import (
     feasibility_records,
@@ -426,7 +425,7 @@ def test_ascent_snr_is_that_of_its_gains(net, data):
     # After k = 1, 2, 3 sweeps the SNR read off the sweep's own forward pass
     # equals a fresh propagation's, bit for bit, for a start alone and for
     # every start of a stack of three.
-    boxes = [safe_gains(net, layer) for layer in range(1, net.num_layers)]
+    boxes = list(net.safe_boxes)
     starts = [
         [
             box * data.draw(arrays(np.float64, box.size, elements=st.floats(-1.0, 1.0)))
@@ -545,7 +544,6 @@ def _relay_layer_calls(net, layer):
         "lower_bound_terms": lambda: lower_bound_terms(net, spec, c1),
         "rank_one_cutset": lambda: rank_one_cutset(net, spec),
         "rescale_to_delta": lambda: rescale_to_delta(net, layer, 0.1),
-        "safe_gains": lambda: safe_gains(net, layer),
         "CodingState.transmit_powers": lambda: state.transmit_powers(layer),
         "downstream_gains": lambda: downstream_gains(net, full, layer),
         "ideal_snr": lambda: ideal_snr(net, full, layer),
@@ -558,13 +556,15 @@ def _relay_layer_calls(net, layer):
 @given(networks(signed=False), st.data())
 def test_relay_layer_range_is_one_check(net, data):
     # Coherent networks leave no cancelled power, so a relay layer is always accepted.
+    # A numpy integer is a layer; a float or a bool is not, even one equal to a relay layer.
     num_layers = net.num_layers
-    layer = data.draw(st.integers(-1, num_layers + 1))
+    layer = data.draw(st.integers(-1, num_layers + 1) | st.sampled_from([1.0, True, np.int64(1)]))
+    integer = type(layer) in (int, np.int64)
     message = rf"(exceptional |noisy )?layer must be a relay layer in 1\.\.{num_layers - 1}, "
     for name, call in _relay_layer_calls(net, layer).items():
-        if 1 <= layer < num_layers:
+        if integer and 1 <= layer < num_layers:
             call()
-        elif name == "exact_transmit_power" and layer == 0:
+        elif name == "exact_transmit_power" and integer and layer == 0:
             assert call() == net.source_power  # the source transmits too
         else:
             with pytest.raises(ValueError, match=f"^{message}got {layer}$"):
