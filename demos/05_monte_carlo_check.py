@@ -31,4 +31,5 @@ for check in result.checks:
 print("verdict:", "agree" if result.ok else "DISAGREE")
 
 again = simulate(net, gains, SimConfig(samples=400_000, seed=2026, workers=5))
-print("bit-identical across worker counts:", json_text(report) == json_text(again))
+same = json_text(report.to_dict()) == json_text(again.to_dict())
+print("bit-identical across worker counts:", same)

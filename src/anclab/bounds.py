@@ -70,14 +70,24 @@ def ideal_snr(net: LayeredNetwork, gains: GainAssignment, noisy_layer: int) -> f
 
 
 def exceptional_power_sum(net: LayeredNetwork, spec: RegimeSpec) -> float:
-    """Sum of received powers over the exceptional layer."""
+    """Sum of received powers over the exceptional layer, inf past float range."""
     spec.validate(net)
-    return float(net.received_powers[spec.exceptional_layer - 1].sum())
+    with np.errstate(over="ignore"):
+        return float(net.received_powers[spec.exceptional_layer - 1].sum())
 
 
 def rate_upper_bound(net: LayeredNetwork, spec: RegimeSpec) -> float:
-    """Capacity upper bound 0.5 * log2(1 + sum of exceptional received powers)."""
-    return anc_rate(exceptional_power_sum(net, spec))
+    """Capacity upper bound 0.5 * log2(1 + sum of exceptional received powers).
+
+    A sum past float range is taken over the powers scaled by the largest, m,
+    with log2(m) added back; the 1 is then below the sum's last bit.
+    """
+    s = exceptional_power_sum(net, spec)
+    if math.isfinite(s):
+        return anc_rate(s)
+    powers = net.received_powers[spec.exceptional_layer - 1]
+    m = float(powers.max())
+    return 0.5 * (math.log2(m) + math.log2(float((powers / m).sum())))
 
 
 def _margin_power(delta: float, hops: int) -> float:
@@ -101,6 +111,11 @@ def lower_bound_terms(
         raise ValueError(f"matched-scheme constant must be positive, got {c1}")
     delta = regime_delta(net, spec)
     s = exceptional_power_sum(net, spec)
+    if math.isinf(s):
+        raise ValueError(
+            f"the received powers of layer {l} sum past float range; "
+            "the lower bound is not computed there"
+        )
     p_rd = float(net.received_powers[-1][0])
 
     c2 = 1.0

@@ -11,7 +11,10 @@ validation or usage error, 2 a requested check failed.
 --layer names the exceptional layer, a relay layer 1..L-1.  A network with
 no weak relay layer is the case of Maric et al. [4]: --scheme full_power,
 with the high_snr_lower_bound column as its bound.  simulate takes --layer
-only with --scheme generalized, the one gain source that reads it.
+only with --scheme generalized, the one gain source that reads it.  In the
+same way bounds takes --restarts and --seed only with --scheme optimizer;
+where they are not given, bounds and optimize keep OptimizerConfig's
+defaults.
 """
 
 from __future__ import annotations
@@ -94,8 +97,17 @@ def _grid(text: str) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
+def _optimizer_config(args, scheme: str = "optimizer") -> OptimizerConfig:
+    """--restarts and --seed as an OptimizerConfig; a flag not given keeps its default."""
+    given = {name: v for name in ("restarts", "seed") if (v := getattr(args, name)) is not None}
+    if given and scheme != "optimizer":
+        flag = next(iter(given))
+        raise CliError(f"--{flag} applies to --scheme optimizer, not to --scheme {scheme}")
+    return OptimizerConfig(**given)
+
+
 def cmd_bounds(args) -> int:
-    config = OptimizerConfig(restarts=args.restarts, seed=args.seed)
+    config = _optimizer_config(args, args.scheme)
     net = _load_net(args.network)
     spec = _regime(net, args.layer)
     gains, c1 = matched_gains(net, spec)  # every scheme's lower bound reads c1
@@ -107,7 +119,7 @@ def cmd_bounds(args) -> int:
     if args.scheme == "optimizer":
         payload["optimizer_rate"] = anc_rate(snr)
     if args.format == "json":
-        _write(json_text(payload) + "\n", args.out)
+        _write(json_text(payload), args.out)
     else:
         _write(csv_table(payload, [payload.values()]), args.out)
     return EXIT_OK
@@ -143,7 +155,7 @@ def cmd_simulate(args) -> int:
             "agreement": agreement.to_dict(),
             "feasibility": feasibility.to_dict(),
         }
-        _write(json_text(payload) + "\n", args.out)
+        _write(json_text(payload), args.out)
     else:
         _write(agreement.to_csv(), args.out)
     return EXIT_OK if agreement.ok else EXIT_CHECK_FAILED
@@ -151,12 +163,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_optimize(args) -> int:
     net = _load_net(args.network)
-    config = OptimizerConfig(restarts=args.restarts, seed=args.seed)
+    config = _optimizer_config(args)
     gains, snr = optimize_gains(net, config)
     payload = gains_to_dict(net, gains)
     payload["snr"] = snr
     payload["rate"] = anc_rate(snr)
-    _write(json_text(payload) + "\n", args.out)
+    _write(json_text(payload), args.out)
     return EXIT_OK
 
 
@@ -250,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--scheme", choices=["generalized", "full_power", "optimizer"], default="generalized"
     )
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=6)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--restarts", type=int, default=None)
     _add_common(p)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_bounds)
@@ -272,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="coordinate-ascent SNR maximization")
     p.add_argument("--network", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=6)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--restarts", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_optimize)
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import LayeredNetwork, NodeId, require_numbers
+from .report import json_text
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,7 @@ def gains_from_dict(net: LayeredNetwork, data: dict) -> GainAssignment:
 
 def save_gains(net: LayeredNetwork, gains: GainAssignment, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(gains_to_dict(net, gains), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(gains_to_dict(net, gains)))
 
 
 def load_gains(net: LayeredNetwork, path: str) -> GainAssignment:

@@ -19,6 +19,11 @@ Transmitting nodes come in one order everywhere: the source, then the
 relays layer-major.  SimReport.transmit_power is keyed by NodeId in that
 order, analytic_moments returns its transmit powers as one array in that
 order, and agreement_check pairs the two by position.
+
+SimReport.to_dict keys its node dicts by "l:i", and AgreementReport.to_dict
+gives each check's node as "l:i" or None.  A check's z is inf when its
+standard error is exactly 0 and the two values differ: the CSV prints inf,
+and report.json_text refuses it.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import numpy as np
 from .coding import propagate_coefficients
 from .gains import GainAssignment
 from .network import LayeredNetwork, NodeId, require_int_fields
-from .report import FLOAT_FORMAT, as_json, csv_table
+from .report import csv_table
 
 _BLOCK = 1 << 15
 _PASS = 1 << 11
@@ -68,7 +73,11 @@ class SimReport:
     snr_se: float
 
     def to_dict(self) -> dict:
-        return as_json(self)
+        """The fields in order, the two node-keyed dicts keyed by "l:i"."""
+        data = dict(vars(self))
+        for name in ("transmit_power", "transmit_power_se"):
+            data[name] = {str(node): value for node, value in data[name].items()}
+        return data
 
 
 def _block_sums(net, betas, seed, block, size):
@@ -232,13 +241,17 @@ class AgreementReport:
         return all(c.ok for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {**as_json(self), "ok": self.ok}
+        """Each check's fields, its node as "l:i" or None, then z_threshold and ok."""
+        checks = [{**vars(c), "node": None if c.node is None else str(c.node)} for c in self.checks]
+        return {"checks": checks, "z_threshold": self.z_threshold, "ok": self.ok}
 
     def to_csv(self) -> str:
         """One row per check in _CHECK_COLUMNS order; z is written with ".6g"."""
-        rows = ([getattr(c, name) for name in _CHECK_COLUMNS] for c in self.checks)
-        formats = [".6g" if name == "z" else FLOAT_FORMAT for name in _CHECK_COLUMNS]
-        return csv_table(_CHECK_COLUMNS, rows, formats)
+        rows = (
+            (c.quantity, c.node, c.empirical, c.analytic, c.stderr, format(c.z, ".6g"), c.ok)
+            for c in self.checks
+        )
+        return csv_table(_CHECK_COLUMNS, rows)
 
 
 def agreement_check(

@@ -33,6 +33,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from .report import json_text
+
 
 # A coherent sum this small next to the sum of its terms' magnitudes is
 # treated as exact cancellation.
@@ -335,8 +337,7 @@ def network_from_dict(data: dict) -> LayeredNetwork:
 
 def save_network(net: LayeredNetwork, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(network_to_dict(net), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(network_to_dict(net)))
 
 
 def load_network(path: str) -> LayeredNetwork:

@@ -1,63 +1,45 @@
-"""One writer for every report: a JSON rule and a CSV table.
+"""One writer for every report: JSON text and a CSV table.
 
-JSON rule (as_json): a dataclass becomes a dict of its fields in order, a
-NodeId becomes its "layer:index" text, dict keys become str, tuples become
-lists, and every other value is kept as it is.  dataclasses.asdict is not
-used because it would expand a NodeId into {"layer", "index"}.
+Each report writes its own to_dict of plain JSON values: dicts with str
+keys, lists, str, int, float, bool and None, a node as its "layer:index"
+text.  json_text is the package's one JSON writer: two-space indent, sorted
+keys, a final LF.  It refuses NaN and the infinities, which JSON has no
+number for, with a ValueError that the CLI prints as one error: line.  The
+one infinite value a report is known to build is an agreement check's z
+when a standard error is exactly 0 and the two values differ.
 
 CSV cell rule (cell): floats are written with 12 significant digits
-(".12g"), booleans in lowercase, None as an empty cell, and anything else
-through str().  A table is a header line plus one line per row, joined with
-commas and ended with LF.  A table may give a column its own float format;
-the one that does is the z column of AgreementReport.to_csv, with ".6g".
+(".12g"), booleans in lowercase, None as an empty cell, and anything else,
+a string included, through str().  A column with another float format
+hands its cells in as strings, as AgreementReport.to_csv does for z with
+".6g".  A table is a header line plus one line per row, joined with commas
+and ended with LF.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import fields, is_dataclass
 from typing import Iterable
-
-from .network import NodeId
-
-FLOAT_FORMAT = ".12g"
-
-
-def as_json(value):
-    """JSON-ready copy of a report value under the module's JSON rule."""
-    if isinstance(value, NodeId):
-        return str(value)
-    if is_dataclass(value):
-        return {f.name: as_json(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, dict):
-        return {str(k): as_json(v) for k, v in value.items()}
-    if isinstance(value, (tuple, list)):
-        return [as_json(v) for v in value]
-    return value
 
 
 def json_text(value) -> str:
-    """Indented JSON with sorted keys, no trailing newline."""
-    return json.dumps(as_json(value), indent=2, sort_keys=True)
+    """Indented JSON with sorted keys and a final LF; NaN and infinities are refused."""
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def cell(value, float_format: str) -> str:
+def cell(value) -> str:
     """One CSV cell under the module's cell rule."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return str(value).lower()
     if isinstance(value, float):
-        return format(value, float_format)
+        return format(value, ".12g")
     return str(value)
 
 
-def csv_table(
-    header: Iterable[str], rows: Iterable[Iterable], float_formats: list[str] | None = None
-) -> str:
-    """Header line plus one line per row; float_formats sets each column's float format."""
-    header = list(header)
-    float_formats = float_formats or [FLOAT_FORMAT] * len(header)
+def csv_table(header: Iterable[str], rows: Iterable[Iterable]) -> str:
+    """Header line plus one line per row."""
     lines = [",".join(header)]
-    lines.extend(",".join(map(cell, row, float_formats)) for row in rows)
+    lines.extend(",".join(map(cell, row)) for row in rows)
     return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -575,6 +576,8 @@ def test_sweep_n_on_one_hop_network_is_one_error_line(tmp_path, capsys):
     [
         ["bounds", "--layer", "1", "--restarts", "0"],
         ["bounds", "--layer", "1", "--seed", "-1"],
+        ["bounds", "--layer", "1", "--scheme", "full_power", "--seed", "3"],
+        ["bounds", "--layer", "1", "--restarts", "5"],
         ["simulate", "--gains", "GAINS", "--scheme", "full_power", "--layer", "1"],
         ["simulate", "--gains", "GAINS", "--layer", "7"],
         ["simulate", "--gains", "GAINS", "--layer", "1"],
@@ -584,6 +587,8 @@ def test_sweep_n_on_one_hop_network_is_one_error_line(tmp_path, capsys):
     ids=[
         "bounds-restarts-0",
         "bounds-seed-negative",
+        "bounds-full-power-seed",
+        "bounds-restarts-5",
         "simulate-gains-and-scheme",
         "simulate-gains-with-bad-layer",
         "simulate-gains-with-layer",
@@ -674,6 +679,14 @@ _DIAMOND = [[[1.0], [1.0]], [[1.0, 1.0]]]
 _ONES_1221 = [[[1.0], [1.0]], [[1.0, 1.0], [1.0, 1.0]], [[1.0, 1.0]]]
 # 1:0 receives 1e-300, so the margin over all receiving layers is about 1e300.
 _CHAIN_1E300 = ([1, 1, 1, 1], [[[1.0]]] * 3, [1.0, 1.0], 1e-300)
+# Each relay receives 1.5e308, so layer 1's received powers sum past float range.
+_DIAMOND_SUM_OVERFLOWS = ([1, 2, 1], _DIAMOND, [1.0, 1.0], 1.5e308)
+# The same sum overflows, and at layer 1, where (1 + delta) ** 0 = 1, the lower
+# bound's (1 - 1/a) * s once gave 0 * inf = NaN.
+_DIAMOND_SUM_NAN = ([1, 2, 1], [[[1.0], [1.0]], [[1e300, 1e300]]], [1e-300, 1e-300], 1.5e308)
+_SUM_OVERFLOWS = (
+    "the received powers of layer 1 sum past float range; the lower bound is not computed there"
+)
 # 2:0's budget of 1e-12 sets a margin of about 3.9e11; at source power 1e300,
 # (1 + delta) * P_R of 1:0 overflows.
 _WEAK_LAST_RELAY = (
@@ -745,6 +758,10 @@ _WEAK_LAST_RELAY = (
             "c1 = min_j |g_j| / P_R_j * sqrt(P_j / (1 + 1/P_R_j)) is out of float range "
             "at exceptional layer 1",
         ),
+        (_DIAMOND_SUM_OVERFLOWS, ["bounds", "--layer", "1"], _SUM_OVERFLOWS),
+        (_DIAMOND_SUM_NAN, ["bounds", "--layer", "1", "--format", "json"], _SUM_OVERFLOWS),
+        (_DIAMOND_SUM_NAN, ["bounds", "--layer", "1"], _SUM_OVERFLOWS),
+        (_DIAMOND_SUM_NAN, ["sweep-ps", "--layer", "1", "--grid", "1e308,1.5e308"], _SUM_OVERFLOWS),
     ],
     ids=[
         "bounds-budgets-1e308",
@@ -758,6 +775,10 @@ _WEAK_LAST_RELAY = (
         "bounds-margin-1e300-layer-2",
         "sweep-ps-safe-box-overflow",
         "bounds-c1-overflow",
+        "bounds-power-sum-overflows",
+        "bounds-json-power-sum-overflows-at-layer-1",
+        "bounds-csv-power-sum-overflows-at-layer-1",
+        "sweep-ps-power-sum-overflows-at-layer-1",
     ],
 )
 def test_out_of_range_powers_are_one_error_line(network, argv, message, tmp_path, capsys):
@@ -771,6 +792,25 @@ def test_out_of_range_powers_are_one_error_line(network, argv, message, tmp_path
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message.replace('NET', path)}\n"
+
+
+def test_overflowing_power_sum_gives_a_finite_upper_bound(tmp_path, capsys):
+    # The sum of layer 1's received powers overflows: sweep-n once printed a
+    # RuntimeWarning and upper_bound and gap as inf.
+    path = _network_file(tmp_path / "net.json", *_DIAMOND_SUM_OVERFLOWS)
+    argv = ["sweep-n", "--grid", "2,3", "--relay-budget", "1", "--network", path]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [
+        "n,rate,upper_bound,gap",
+        "2,1.16096404744,512.369407863,511.208443816",
+        "3,1.66096404744,512.661889113,511.000925066",
+    ]
+    for n in (2, 3):
+        net = replicate_last_relay_layer(load_network(path), n, 1.0)
+        upper = rate_upper_bound(net, RegimeSpec(exceptional_layer=1))
+        assert upper == pytest.approx(0.5 * (math.log2(n) + math.log2(1.5e308)), rel=1e-15)
 
 
 def test_overflowing_c1_term_that_is_not_the_min_is_silent(tmp_path, capsys):
